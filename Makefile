@@ -49,8 +49,14 @@ benchcmp:
 # Regression guard over the committed baseline: allocation regressions
 # beyond 20% on the guarded hot-path benchmarks fail, timing
 # regressions warn (allocs/op is machine-independent, ns/op is not).
+# BENCH_GUARD is the one list of guarded benchmarks; CI runs this
+# target. They are joins, parallel match, columnar scans, the
+# plan-cache and prepared-eval paths, incremental snapshot
+# maintenance, concurrent reads, WAL append and group commit.
+BENCH_GUARD := BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit
+
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='$(BENCH_GUARD)' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:

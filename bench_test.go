@@ -31,9 +31,9 @@ import (
 // CPLX3  BenchmarkAllPathsProjection
 // CPLX4  BenchmarkWeightedShortest
 
-func benchEngine(b *testing.B) *gcore.Engine {
+func benchEngine(b *testing.B, opts ...gcore.Option) *gcore.Engine {
 	b.Helper()
-	eng, err := repro.NewEngine()
+	eng, err := repro.NewEngine(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func BenchmarkIndexedScan(b *testing.B) {
 // property predicates pushed onto it — the hot loop every WHERE clause
 // pays. The "columns" run uses the typed property columns of the CSR
 // snapshot (interned-string equality and range tests over dense
-// arrays); "maps" disables them (core.DisablePropColumns) and chases
+// arrays); "maps" disables them (the MapProps ablation) and chases
 // the per-node property maps row at a time. The two runs must return
 // identical tables; the gap is what the columnar storage buys.
 func BenchmarkFilteredScan(b *testing.B) {
@@ -298,7 +298,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 		disable bool
 	}{{"columns", false}, {"maps", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewEngine(gcore.WithAblation(core.Ablation{MapProps: mode.disable}))
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
@@ -310,8 +310,6 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 			if err != nil {
 				b.Fatal(err)
 			}
-			core.DisablePropColumns = mode.disable
-			defer func() { core.DisablePropColumns = false }()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := eng.EvalStatement(stmt)
@@ -378,9 +376,11 @@ func BenchmarkCSRShortest(b *testing.B) {
 		legacy bool
 	}{{"csr", false}, {"legacy", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			rpq.UseLegacy = mode.legacy
-			defer func() { rpq.UseLegacy = false }()
-			eng := rpq.NewEngine(social, nil)
+			var snap *csr.Snapshot
+			if !mode.legacy {
+				snap = csr.Of(social)
+			}
+			eng := rpq.NewEngine(social, snap, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				total := 0
@@ -432,7 +432,7 @@ func BenchmarkParse(b *testing.B) {
 // BenchmarkRepeatedEval measures the repeated-traffic shape the plan
 // cache serves: one statement evaluated from source again and again.
 // The cache sub-benchmark hits after the first compile; nocache
-// ablates the cache (core.DisablePlanCache), so every iteration pays
+// ablates the cache (WithPlanCacheSize(-1)), so every iteration pays
 // lex/parse/analyze and planning again.
 func BenchmarkRepeatedEval(b *testing.B) {
 	const q = `SELECT n.firstName AS name, n.lastName AS last, n.employer AS emp, n.age AS age,
@@ -452,9 +452,7 @@ ORDER BY name, last, age`
 		disable bool
 	}{{"cache", false}, {"nocache", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			core.DisablePlanCache = mode.disable
-			defer func() { core.DisablePlanCache = false }()
-			eng := benchEngine(b)
+			eng := benchEngine(b, planCacheOff(mode.disable))
 			if _, err := eng.Eval(q); err != nil {
 				b.Fatal(err)
 			}
@@ -499,7 +497,7 @@ ORDER BY name`)
 // node and an edge to SNB-2000 and immediately runs a filtered scan,
 // so each read pays for bringing the CSR snapshot up to date. The
 // incremental mode delta-applies the two-op delta; the full-rebuild
-// mode (core.DisableIncrementalSnapshot) reconstructs the snapshot
+// mode (the FullRebuild ablation) reconstructs the snapshot
 // from scratch each time.
 func BenchmarkMutateThenRead(b *testing.B) {
 	for _, mode := range []struct {
@@ -507,7 +505,7 @@ func BenchmarkMutateThenRead(b *testing.B) {
 		disable bool
 	}{{"incremental", false}, {"full-rebuild", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewEngine(gcore.WithAblation(core.Ablation{FullRebuild: mode.disable}))
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
@@ -519,8 +517,6 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 			if err != nil {
 				b.Fatal(err)
 			}
-			core.DisableIncrementalSnapshot = mode.disable
-			defer func() { core.DisableIncrementalSnapshot = false }()
 			g, _ := eng.Graph(social.Name())
 			persons := g.NodesWithLabel("Person")
 			if _, err := eng.EvalStatement(stmt); err != nil {

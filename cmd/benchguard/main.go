@@ -8,6 +8,7 @@
 //
 // Usage:
 //
+//	make benchguard  # runs the guarded list (BENCH_GUARD in the Makefile), or by hand:
 //	go test -bench 'BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval' \
 //	    -benchmem -run '^$' . ./internal/bindings | tee bench.head.txt
 //	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt

@@ -42,18 +42,6 @@ func (e *Engine) ExplainAnalyze(src string) (string, error) {
 	return e.ExplainAnalyzeContext(context.Background(), src)
 }
 
-// SetMaxBindings bounds the size of intermediate binding tables per
-// statement; zero (the default) means unlimited.
-//
-// Deprecated: the bound is the MaxBindings field of Limits; set it
-// with WithLimits at construction (or SetLimits). This wrapper only
-// rewrites that one field, preserving the other limits.
-func (e *Engine) SetMaxBindings(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ev.SetMaxBindings(n)
-}
-
 // SetLimits installs per-statement resource limits: intermediate
 // binding rows (MaxBindings), explored path-search product states
 // (MaxPathFrontier), constructed result elements (MaxResultElements)

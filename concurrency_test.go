@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gcore"
+	"gcore/internal/core"
 )
 
 // counters snapshots the engine's read/write dispatch counters.
@@ -467,5 +469,142 @@ GRAPH VIEW pair_b AS (CONSTRUCT (n) MATCH (n) ON pair_a)`
 	}
 	if _, ok := eng.Graph("pair_b"); !ok {
 		t.Fatal("pair_b missing after script")
+	}
+}
+
+// TestIDAllocationInsideMutateGraph: the identifier allocators take no
+// engine lock, so a MutateGraph callback — which runs under the writer
+// lock — can allocate the identifiers of the elements it adds. Each
+// engine gets a deadline instead of hanging the suite on a deadlock;
+// the durable engine must also recover the allocated elements and
+// allocate past them after reopening.
+func TestIDAllocationInsideMutateGraph(t *testing.T) {
+	type allocEngine interface {
+		RegisterGraph(*gcore.Graph) error
+		MutateGraph(string, func(*gcore.Graph) error) error
+		NextNodeID() gcore.NodeID
+		NextEdgeID() gcore.EdgeID
+		NextPathID() gcore.PathID
+	}
+	addPair := func(t *testing.T, eng allocEngine) (gcore.NodeID, gcore.NodeID) {
+		t.Helper()
+		var a, b gcore.NodeID
+		done := make(chan error, 1)
+		go func() {
+			done <- eng.MutateGraph("ids", func(g *gcore.Graph) error {
+				a, b = eng.NextNodeID(), eng.NextNodeID()
+				for _, id := range []gcore.NodeID{a, b} {
+					if err := g.AddNode(&gcore.Node{ID: id, Labels: gcore.NewLabels("P")}); err != nil {
+						return err
+					}
+				}
+				eng.NextPathID()
+				return g.AddEdge(&gcore.Edge{ID: eng.NextEdgeID(), Src: a, Dst: b, Labels: gcore.NewLabels("knows")})
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("allocating identifiers inside MutateGraph deadlocked")
+		}
+		return a, b
+	}
+
+	t.Run("engine", func(t *testing.T) {
+		eng := gcore.NewEngine()
+		if err := eng.RegisterGraph(gcore.NewGraph("ids")); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := addPair(t, eng); a == b {
+			t.Fatalf("allocator returned %d twice", a)
+		}
+	})
+
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		dur, err := gcore.OpenDurable(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.RegisterGraph(gcore.NewGraph("ids")); err != nil {
+			t.Fatal(err)
+		}
+		_, b := addPair(t, dur)
+		if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := gcore.OpenDurable(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		g, ok := re.Graph("ids")
+		if !ok || g.NumNodes() != 2 || g.NumEdges() != 1 {
+			t.Fatalf("recovered graph lost the callback's elements: %v", g)
+		}
+		if id := re.NextNodeID(); id <= b {
+			t.Fatalf("allocator after recovery returned %d, not past %d", id, b)
+		}
+	})
+}
+
+// TestAblationIsolatedPerEngine: an engine's ablation belongs to that
+// engine alone. Two engines run concurrently in one process — one
+// under TextualOrder and MapKernels, one with the zero Ablation — and
+// each EXPLAIN shows its own join order and scan direction while the
+// results of both stay byte-identical.
+func TestAblationIsolatedPerEngine(t *testing.T) {
+	const q = `SELECT n.firstName AS a, c.name AS b
+MATCH (n:Person)-[:knows]->(m:Person), (m)-[:isLocatedIn]->(c:City) ORDER BY a, b`
+	setup, queries := snbQueries()
+	queries = append(queries, q)
+	engines := []struct {
+		eng  *gcore.Engine
+		plan []string
+	}{
+		{setup(t, gcore.WithAblation(core.Ablation{TextualOrder: true, MapKernels: true})), []string{
+			"join order: pattern 1 [est 60] ⋈ pattern 2 [est 311]",
+			"start: left end, forward scan [est 311]",
+		}},
+		{setup(t), []string{
+			"join order: pattern 2 [est 4] ⋈ pattern 1 [est 60]",
+			"start: right end, reverse scan [est 4; forward 311]",
+		}},
+	}
+	const rounds = 3
+	results := make([][]string, len(engines))
+	var wg sync.WaitGroup
+	for i, e := range engines {
+		wg.Add(1)
+		go func(i int, eng *gcore.Engine, want []string) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				plan, err := eng.Explain(q)
+				if err != nil {
+					t.Errorf("engine %d: explain: %v", i, err)
+					return
+				}
+				for _, w := range want {
+					if !strings.Contains(plan, w) {
+						t.Errorf("engine %d round %d: plan lacks %q:\n%s", i, r, w, plan)
+					}
+				}
+				for _, query := range queries {
+					results[i] = append(results[i], renderResult(eng.Eval(query)))
+				}
+			}
+		}(i, e.eng, e.plan)
+	}
+	wg.Wait()
+	if len(results[0]) != len(results[1]) {
+		t.Fatalf("engines evaluated %d and %d statements", len(results[0]), len(results[1]))
+	}
+	for k := range results[0] {
+		if results[0][k] != results[1][k] {
+			t.Fatalf("result %d diverged between the engines\nablated:\n%s\nplain:\n%s", k, results[0][k], results[1][k])
+		}
 	}
 }

@@ -9,11 +9,10 @@ import (
 	"gcore/internal/core"
 	"gcore/internal/parser"
 	"gcore/internal/repro"
-	"gcore/internal/rpq"
 )
 
 // Differential tests between the CSR evaluation path (the default)
-// and the legacy map-based path (core.DisableCSR + rpq.UseLegacy).
+// and the legacy map-based path (the MapKernels ablation).
 // Every paper example and a set of SNB-toy queries must produce
 // byte-identical serialized results under both paths, sequentially
 // and in parallel — the CSR snapshot layer is a pure performance
@@ -39,26 +38,22 @@ func renderResult(res *gcore.Result, err error) string {
 	return out
 }
 
-// evalConfigured runs one query on a fresh engine built by setup,
-// with the CSR path on or off and the given worker count.
-func evalConfigured(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, legacy bool, workers int) string {
+// engineSetup builds a fresh test engine configured by opts.
+type engineSetup func(t *testing.T, opts ...gcore.Option) *gcore.Engine
+
+// evalAblated runs one query on a fresh engine built by setup, under
+// the given ablation and worker count.
+func evalAblated(t *testing.T, setup engineSetup, query string, abl core.Ablation, workers int) string {
 	t.Helper()
-	core.DisableCSR = legacy
-	rpq.UseLegacy = legacy
-	defer func() {
-		core.DisableCSR = false
-		rpq.UseLegacy = false
-	}()
-	eng := setup(t)
-	eng.SetParallelism(workers)
+	eng := setup(t, gcore.WithAblation(abl), gcore.WithParallelism(workers))
 	res, err := eng.Eval(query)
 	return renderResult(res, err)
 }
 
 // tourEngine builds the guided-tour toy database.
-func tourEngine(t *testing.T) *gcore.Engine {
+func tourEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	eng, err := repro.NewEngine()
+	eng, err := repro.NewEngine(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +63,10 @@ func tourEngine(t *testing.T) *gcore.Engine {
 // snbQueries returns an SNB toy engine setup and the query set
 // exercising the hot kernels: indexed scans, multi-hop joins,
 // reachability, stored shortest paths and weighted view search.
-func snbQueries() (func(t *testing.T) *gcore.Engine, []string) {
-	setup := func(t *testing.T) *gcore.Engine {
+func snbQueries() (engineSetup, []string) {
+	setup := func(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 		t.Helper()
-		eng := gcore.NewEngine()
+		eng := gcore.NewEngine(opts...)
 		social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
 		if err := eng.RegisterGraph(social); err != nil {
 			t.Fatal(err)
@@ -111,26 +106,14 @@ func TestCSRDifferentialPaper(t *testing.T) {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalConfigured(t, tourEngine, query, true, workers)
-				got := evalConfigured(t, tourEngine, query, false, workers)
+				want := evalAblated(t, tourEngine, query, core.Ablation{MapKernels: true}, workers)
+				got := evalAblated(t, tourEngine, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
 				}
 			}
 		})
 	}
-}
-
-// evalPropCols runs one query with the columnar property store on or
-// off (the CSR path itself stays on) and the given worker count.
-func evalPropCols(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, disable bool, workers int) string {
-	t.Helper()
-	core.DisablePropColumns = disable
-	defer func() { core.DisablePropColumns = false }()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	res, err := eng.Eval(query)
-	return renderResult(res, err)
 }
 
 // TestPropColumnsDifferential: predicates over FSET(V) properties —
@@ -173,8 +156,8 @@ WHERE p.nickname = 'none' ORDER BY f`,
 	for i, query := range queries {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalPropCols(t, setup, query, true, workers)
-				got := evalPropCols(t, setup, query, false, workers)
+				want := evalAblated(t, setup, query, core.Ablation{MapProps: true}, workers)
+				got := evalAblated(t, setup, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: columnar result diverged from row-at-a-time\ncolumns:\n%s\nmaps:\n%s", workers, got, want)
 				}
@@ -183,7 +166,7 @@ WHERE p.nickname = 'none' ORDER BY f`,
 	}
 }
 
-// TestPropColumnsDifferentialTour: the same knob identity over every
+// TestPropColumnsDifferentialTour: the same columns-on/off identity over every
 // paper example on the guided-tour database (employer there is also
 // multi-valued for some people and absent for Peter).
 func TestPropColumnsDifferentialTour(t *testing.T) {
@@ -196,8 +179,8 @@ func TestPropColumnsDifferentialTour(t *testing.T) {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalPropCols(t, tourEngine, query, true, workers)
-				got := evalPropCols(t, tourEngine, query, false, workers)
+				want := evalAblated(t, tourEngine, query, core.Ablation{MapProps: true}, workers)
+				got := evalAblated(t, tourEngine, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: columnar result diverged from row-at-a-time\ncolumns:\n%s\nmaps:\n%s", workers, got, want)
 				}
@@ -213,8 +196,8 @@ func TestCSRDifferentialSNB(t *testing.T) {
 	for i, query := range queries {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalConfigured(t, setup, query, true, workers)
-				got := evalConfigured(t, setup, query, false, workers)
+				want := evalAblated(t, setup, query, core.Ablation{MapKernels: true}, workers)
+				got := evalAblated(t, setup, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
 				}

@@ -152,18 +152,20 @@ func FuzzSnapshot(f *testing.F) {
 	})
 }
 
+// fuzzLimits bounds the binding tables of fuzzed statements.
+var fuzzLimits = gcore.WithLimits(gcore.Limits{MaxBindings: 200_000})
+
 func FuzzEval(f *testing.F) {
 	for _, s := range parserSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		eng, err := repro.NewEngine()
+		// Bound adversarial cartesian products: the engine must reject
+		// them with an error, not hang.
+		eng, err := repro.NewEngine(fuzzLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bound adversarial cartesian products: the engine must reject
-		// them with an error, not hang.
-		eng.SetMaxBindings(200_000)
 		res, err := eng.Eval(src)
 		if err != nil {
 			return // evaluation errors are fine; panics and invalid graphs are not
@@ -196,11 +198,10 @@ func FuzzParamInline(f *testing.F) {
 		if err != nil {
 			return // lex errors or parameters beyond $a/$b: nothing to compare
 		}
-		paramEng, err := repro.NewEngine()
+		paramEng, err := repro.NewEngine(fuzzLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paramEng.SetMaxBindings(200_000)
 		prep, err := paramEng.Prepare(src)
 		if err != nil {
 			// The statement itself is invalid; the inlined form must
@@ -215,11 +216,10 @@ func FuzzParamInline(f *testing.F) {
 			return
 		}
 		gotRes, gotErr := prep.Eval(params)
-		inlineEng, err := repro.NewEngine()
+		inlineEng, err := repro.NewEngine(fuzzLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inlineEng.SetMaxBindings(200_000)
 		wantRes, wantErr := inlineEng.Eval(inlined)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("success diverged for %q:\nparam err:  %v\ninline err: %v", src, gotErr, wantErr)

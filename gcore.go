@@ -257,6 +257,11 @@ type Engine struct {
 	// is applied by RegisterGraph / LoadGraphJSON when the graph shows
 	// up.
 	pendingDefault string
+
+	// cfg collects the options' evaluator settings; NewEngine builds
+	// the evaluator from it once every option has run. Later
+	// reconfiguration goes to the evaluator, not here.
+	cfg core.Config
 }
 
 // Option configures an Engine at construction; see NewEngine.
@@ -266,13 +271,13 @@ type Option func(*Engine)
 // Zero (the default) uses runtime.GOMAXPROCS; one forces fully
 // sequential evaluation. Results are identical for every setting.
 func WithParallelism(n int) Option {
-	return func(e *Engine) { e.ev.SetParallelism(n) }
+	return func(e *Engine) { e.cfg.Workers = n }
 }
 
 // WithLimits installs per-statement resource limits (see Limits); a
 // zero field means unlimited for that resource.
 func WithLimits(l Limits) Option {
-	return func(e *Engine) { e.ev.SetLimits(l) }
+	return func(e *Engine) { e.cfg.Limits = l }
 }
 
 // WithDefaultGraph selects the graph used when MATCH omits ON. The
@@ -287,7 +292,7 @@ func WithDefaultGraph(name string) Option {
 // start and end, including statement spans — a poor man's tracer with
 // no tracing dependency. See also Engine.SetTraceHandler.
 func WithTraceHandler(h TraceHandler) Option {
-	return func(e *Engine) { e.ev.SetTraceHandler(h) }
+	return func(e *Engine) { e.cfg.Trace = h }
 }
 
 // WithCollector attaches a caller-held Collector: every statement's
@@ -295,7 +300,7 @@ func WithTraceHandler(h TraceHandler) Option {
 // engine's lifetime Metrics), so a caller can meter query batches
 // without installing a TraceHandler.
 func WithCollector(c *Collector) Option {
-	return func(e *Engine) { e.ev.SetCollector(c) }
+	return func(e *Engine) { e.cfg.Collector = c }
 }
 
 // WithPlanCacheSize bounds the engine's plan cache: n > 0 caps it at n
@@ -303,7 +308,14 @@ func WithCollector(c *Collector) Option {
 // capacity, and n < 0 disables plan caching entirely — every statement
 // then compiles from source, with parameters inlined as literals.
 func WithPlanCacheSize(n int) Option {
-	return func(e *Engine) { e.ev.SetPlanCacheCapacity(n) }
+	return func(e *Engine) { e.cfg.PlanCacheSize = n }
+}
+
+// withAblation runs the engine's evaluator under a (see core.Ablation)
+// for its whole life. Only the differential tests and ablation
+// benchmarks use it, through export_test.go.
+func withAblation(a core.Ablation) Option {
+	return func(e *Engine) { e.cfg.Ablation = a }
 }
 
 // NewEngine creates an empty engine, configured by the given options:
@@ -314,11 +326,11 @@ func WithPlanCacheSize(n int) Option {
 //	    gcore.WithDefaultGraph("social_graph"),
 //	)
 func NewEngine(opts ...Option) *Engine {
-	cat := catalog.New()
-	e := &Engine{cat: cat, ev: core.New(cat)}
+	e := &Engine{cat: catalog.New()}
 	for _, opt := range opts {
 		opt(e)
 	}
+	e.ev = core.New(e.cat, e.cfg)
 	return e
 }
 
@@ -746,26 +758,16 @@ func (e *Engine) LoadGraphJSON(r io.Reader) (*Graph, error) {
 }
 
 // NextNodeID, NextEdgeID and NextPathID hand out engine-unique
-// identifiers for programmatic graph building.
-func (e *Engine) NextNodeID() NodeID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextNode()
-}
+// identifiers for programmatic graph building. They take no engine
+// lock — the generator is atomic — so a MutateGraph callback may call
+// them.
+func (e *Engine) NextNodeID() NodeID { return e.cat.IDs().NextNode() }
 
 // NextEdgeID hands out a fresh edge identifier.
-func (e *Engine) NextEdgeID() EdgeID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextEdge()
-}
+func (e *Engine) NextEdgeID() EdgeID { return e.cat.IDs().NextEdge() }
 
 // NextPathID hands out a fresh path identifier.
-func (e *Engine) NextPathID() PathID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextPath()
-}
+func (e *Engine) NextPathID() PathID { return e.cat.IDs().NextPath() }
 
 // GraphUnion, GraphIntersect and GraphMinus are the §A.5 set
 // operations on Path Property Graphs, exposed for programmatic use;

@@ -9,9 +9,9 @@ import (
 	"gcore"
 )
 
-func newEngine(t *testing.T) *gcore.Engine {
+func newEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	eng := gcore.NewEngine()
+	eng := gcore.NewEngine(opts...)
 	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +271,7 @@ func TestExplainPublic(t *testing.T) {
 }
 
 func TestMaxBindingsBudget(t *testing.T) {
-	eng := newEngine(t)
-	eng.SetMaxBindings(100)
+	eng := newEngine(t, gcore.WithLimits(gcore.Limits{MaxBindings: 100}))
 	// Five disconnected unlabeled patterns: a cartesian monster.
 	_, err := eng.Eval(`CONSTRUCT (a) MATCH (a), (b), (c), (d), (e)`)
 	if err == nil || !strings.Contains(err.Error(), "binding limit") {
@@ -284,7 +283,7 @@ func TestMaxBindingsBudget(t *testing.T) {
 		t.Fatalf("normal query under budget: %v, %v", res, err)
 	}
 	// Unlimited again.
-	eng.SetMaxBindings(0)
+	eng.SetLimits(gcore.Limits{})
 	if _, err := eng.Eval(`CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
 		t.Fatalf("unlimited: %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"gcore/internal/core"
 	"gcore/internal/faultinject"
 	"gcore/internal/parser"
-	"gcore/internal/rpq"
 )
 
 // Governance tests: context cancellation, timeouts, resource budgets
@@ -137,13 +136,9 @@ func TestEvalTimeout(t *testing.T) {
 func TestMaxPathFrontierBudget(t *testing.T) {
 	setup, _ := snbQueries()
 	for _, legacy := range []bool{false, true} {
-		core.DisableCSR = legacy
-		rpq.UseLegacy = legacy
-		eng := setup(t)
-		eng.SetLimits(gcore.Limits{MaxPathFrontier: 1})
+		eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: legacy}),
+			gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
 		_, err := eng.Eval(snbAllQuery)
-		core.DisableCSR = false
-		rpq.UseLegacy = false
 		qe, ok := gcore.AsQueryError(err)
 		if !ok || qe.Kind != gcore.KindBudget {
 			t.Fatalf("legacy=%v: err = %v, want KindBudget QueryError", legacy, err)
@@ -171,8 +166,7 @@ func TestMaxResultElementsBudget(t *testing.T) {
 // TestMaxBindingsKind: the pre-existing binding budget now surfaces as
 // a typed KindBudget error.
 func TestMaxBindingsKind(t *testing.T) {
-	eng := newEngine(t)
-	eng.SetMaxBindings(100)
+	eng := newEngine(t, gcore.WithLimits(gcore.Limits{MaxBindings: 100}))
 	_, err := eng.Eval(`CONSTRUCT (a) MATCH (a), (b), (c), (d), (e)`)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -238,9 +232,9 @@ func TestFailedViewNotRegistered(t *testing.T) {
 }
 
 // TestFaultInjectionAllSites drives every declared probe site with a
-// panic, an injected error and a mid-checkpoint cancellation, toggling
-// the ablation knobs so both the legacy and the CSR kernels are
-// reached. The scenario table is checked against AllSites so a new
+// panic, an injected error and a mid-checkpoint cancellation, with
+// engines under the MapKernels ablation where needed so both the
+// legacy and the CSR kernels are reached. The scenario table is checked against AllSites so a new
 // checkpoint cannot be added without fault coverage.
 func TestFaultInjectionAllSites(t *testing.T) {
 	setup, _ := snbQueries()
@@ -277,14 +271,8 @@ func TestFaultInjectionAllSites(t *testing.T) {
 		sc := scenarios[site]
 		for _, mode := range []string{"panic", "error", "cancel"} {
 			t.Run(site+"/"+mode, func(t *testing.T) {
-				core.DisableCSR = sc.legacy
-				rpq.UseLegacy = sc.legacy
-				defer func() {
-					core.DisableCSR = false
-					rpq.UseLegacy = false
-				}()
-				eng := setup(t)
-				eng.SetParallelism(sc.workers)
+				eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: sc.legacy}),
+					gcore.WithParallelism(sc.workers))
 				gens := graphGenerations(eng)
 				before := runtime.NumGoroutine()
 
@@ -392,17 +380,10 @@ func TestDifferentialGenerousLimits(t *testing.T) {
 
 // evalWithLimits renders one query under the given kernel/limits
 // configuration, for budget-parity comparisons.
-func evalWithLimits(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, legacy bool, workers int, limits gcore.Limits) string {
+func evalWithLimits(t *testing.T, setup engineSetup, query string, legacy bool, workers int, limits gcore.Limits) string {
 	t.Helper()
-	core.DisableCSR = legacy
-	rpq.UseLegacy = legacy
-	defer func() {
-		core.DisableCSR = false
-		rpq.UseLegacy = false
-	}()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	eng.SetLimits(limits)
+	eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: legacy}),
+		gcore.WithParallelism(workers), gcore.WithLimits(limits))
 	return renderResult(eng.Eval(query))
 }
 

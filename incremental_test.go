@@ -132,7 +132,7 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 					}
 				}
 			}
-			snap, info := csr.OfCounted(g)
+			snap, info := csr.OfCounted(g, false)
 			full := csr.Build(g)
 			if err := csr.Equivalent(snap, full); err != nil {
 				t.Fatalf("round %d (%v): incremental snapshot diverged from rebuild: %v", r, info.Kind, err)
@@ -146,9 +146,9 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 
 // mutableSNB builds the SNB toy engine and returns the registered
 // social graph for direct mutation.
-func mutableSNB(t *testing.T) (*gcore.Engine, *gcore.Graph) {
+func mutableSNB(t *testing.T, opts ...gcore.Option) (*gcore.Engine, *gcore.Graph) {
 	t.Helper()
-	eng := gcore.NewEngine()
+	eng := gcore.NewEngine(opts...)
 	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
 	if err := eng.RegisterGraph(social); err != nil {
 		t.Fatal(err)
@@ -210,11 +210,8 @@ func snbMutationScript(t *testing.T, g *gcore.Graph, step int) {
 // metrics.
 func runInterleaved(t *testing.T, disableInc bool, workers int) (string, gcore.Metrics) {
 	t.Helper()
-	prev := core.DisableIncrementalSnapshot
-	core.DisableIncrementalSnapshot = disableInc
-	defer func() { core.DisableIncrementalSnapshot = prev }()
-	eng, g := mutableSNB(t)
-	eng.SetParallelism(workers)
+	eng, g := mutableSNB(t, gcore.WithAblation(core.Ablation{FullRebuild: disableInc}),
+		gcore.WithParallelism(workers))
 	_, queries := snbQueries()
 	out := ""
 	for step := 0; step < 4; step++ {
@@ -240,10 +237,10 @@ func TestIncrementalDifferentialSNB(t *testing.T) {
 				t.Fatalf("incremental snapshots changed results\nincremental:\n%s\nfull rebuild:\n%s", got, want)
 			}
 			if off.SnapshotDeltaApplies != 0 {
-				t.Fatalf("knob off but %d delta applies recorded", off.SnapshotDeltaApplies)
+				t.Fatalf("full rebuild but %d delta applies recorded", off.SnapshotDeltaApplies)
 			}
 			if on.SnapshotDeltaApplies == 0 {
-				t.Fatalf("knob on but no delta applies recorded (full=%d fallback=%d)",
+				t.Fatalf("incremental but no delta applies recorded (full=%d fallback=%d)",
 					on.SnapshotFullBuilds, on.SnapshotFallbacks)
 			}
 		})
@@ -257,7 +254,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 	_, g := mutableSNB(t)
 	csr.Of(g)
 	snbMutationScript(t, g, 0) // dirty the chain so the next Of delta-applies
-	if _, info := csr.OfCounted(g); info.Kind != csr.BuildDelta {
+	if _, info := csr.OfCounted(g, false); info.Kind != csr.BuildDelta {
 		t.Fatalf("priming mutation produced %v, want BuildDelta", info.Kind)
 	}
 	clone := g.Clone()
@@ -277,32 +274,26 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 
 // TestExplainAnalyzeSnapshotFooter: after a mutation, the EXPLAIN
 // ANALYZE footer reports the snapshot as delta-applied (and as a full
-// build when the knob disables the incremental path).
+// build on an engine under the FullRebuild ablation).
 func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
-	eng, g := mutableSNB(t)
 	q := `SELECT c.name AS name MATCH (c:City) ORDER BY name`
-	if _, err := eng.Eval(q); err != nil {
-		t.Fatal(err)
+	footer := func(abl core.Ablation) string {
+		eng, g := mutableSNB(t, gcore.WithAblation(abl))
+		if _, err := eng.Eval(q); err != nil {
+			t.Fatal(err)
+		}
+		snbMutationScript(t, g, 0)
+		out, err := eng.ExplainAnalyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	snbMutationScript(t, g, 0)
-	out, err := eng.ExplainAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "snapshots: ") || !strings.Contains(out, "delta-applied") {
+	if out := footer(core.Ablation{}); !strings.Contains(out, "snapshots: ") || !strings.Contains(out, "delta-applied") {
 		t.Fatalf("no delta-applied snapshot line in footer:\n%s", out)
 	}
-
-	prev := core.DisableIncrementalSnapshot
-	core.DisableIncrementalSnapshot = true
-	defer func() { core.DisableIncrementalSnapshot = prev }()
-	snbMutationScript(t, g, 1)
-	out, err = eng.ExplainAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "snapshots: 1 full") {
-		t.Fatalf("knob off: footer should report a full build:\n%s", out)
+	if out := footer(core.Ablation{FullRebuild: true}); !strings.Contains(out, "snapshots: 1 full") {
+		t.Fatalf("full rebuild: footer should report a full build:\n%s", out)
 	}
 }
 
@@ -316,7 +307,7 @@ func TestIncrementalOverflowFallback(t *testing.T) {
 	_, g := mutableSNB(t)
 	csr.Of(g)
 	snbMutationScript(t, g, 0) // records more than 4 ops
-	snap, info := csr.OfCounted(g)
+	snap, info := csr.OfCounted(g, false)
 	if info.Kind != csr.BuildFull {
 		t.Fatalf("overflowed delta produced %v, want BuildFull", info.Kind)
 	}
@@ -328,7 +319,7 @@ func TestIncrementalOverflowFallback(t *testing.T) {
 		gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(1)})); err != nil {
 		t.Fatal(err)
 	}
-	snap, info = csr.OfCounted(g)
+	snap, info = csr.OfCounted(g, false)
 	if info.Kind != csr.BuildDelta {
 		t.Fatalf("post-overflow mutation produced %v, want BuildDelta", info.Kind)
 	}

@@ -105,7 +105,7 @@ func TestConstructDoesNotMutateSource(t *testing.T) {
 	if err := cat.RegisterGraph(social); err != nil {
 		t.Fatal(err)
 	}
-	ev := core.New(cat)
+	ev := core.New(cat, core.Config{})
 	stmt, err := parser.Parse(`CONSTRUCT (n :Mutant) SET n.firstName := 'X'
 MATCH (n:Person)`)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestQuickConstructAlwaysValid(t *testing.T) {
 		if err := cat.RegisterGraph(social.Social); err != nil {
 			return false
 		}
-		ev := core.New(cat)
+		ev := core.New(cat, core.Config{})
 		for _, q := range queries {
 			stmt, err := parser.Parse(q)
 			if err != nil {
@@ -278,7 +278,7 @@ func TestQuickWherePermutationEquivalence(t *testing.T) {
 		if err := cat.RegisterGraph(social.Social); err != nil {
 			return false
 		}
-		ev := core.New(cat)
+		ev := core.New(cat, core.Config{})
 		q1 := `SELECT n.firstName AS a, m.firstName AS b
 MATCH (n:Person)-[:knows]->(m:Person)
 WHERE n.anchor = TRUE AND size(m.employer) > 0 ORDER BY a, b`
@@ -314,7 +314,7 @@ func TestMatchEquivalentToBruteForce(t *testing.T) {
 		if err := cat.RegisterGraph(g); err != nil {
 			return false
 		}
-		ev := core.New(cat)
+		ev := core.New(cat, core.Config{})
 		stmt, err := parser.Parse(fmt.Sprintf(
 			`SELECT id(n) AS a, id(m) AS b MATCH (n:Person)-[:knows]->(m:Person) ON %s ORDER BY a, b`, g.Name()))
 		if err != nil {

@@ -35,9 +35,52 @@ import (
 	"gcore/internal/value"
 )
 
+// Ablation selects the slower reference paths an evaluator runs in
+// place of its optimisations. The zero value runs every optimisation;
+// each field swaps one layer for the code it replaced. Results are
+// byte-identical under every combination (the differential suites
+// enforce it): ablation exists for those suites and for the ablation
+// benchmarks. An evaluator's ablation is fixed at construction, so
+// engines with different ablations coexist in one process and no
+// plan-cache key has to record it.
+type Ablation struct {
+	// MapKernels evaluates patterns and path searches over the mutable
+	// ppg maps instead of the CSR snapshot kernels.
+	MapKernels bool
+	// FullRebuild runs the full csr.Build on every generation change
+	// instead of applying the recorded delta to the previous snapshot.
+	FullRebuild bool
+	// MapProps reads properties row at a time from the ppg.Properties
+	// maps in pushdown and residual filters, property lookups and
+	// SELECT projection, instead of from the snapshot's columns.
+	MapProps bool
+	// ResidualFilters leaves every WHERE conjunct to the residual
+	// filter instead of applying it as soon as its variables are bound.
+	ResidualFilters bool
+	// TextualOrder starts every chain at its leftmost node and folds
+	// conjunct patterns left to right instead of by estimate.
+	TextualOrder bool
+}
+
+// columns reports whether filters may read the snapshot's property
+// columns: both the snapshot and its columns must be in use.
+func (a Ablation) columns() bool { return !a.MapKernels && !a.MapProps }
+
+// Config is an evaluator's construction-time configuration; the zero
+// value is the default evaluator.
+type Config struct {
+	Workers       int        // see SetParallelism
+	Limits        gov.Limits // see SetLimits
+	Trace         obs.TraceHandler
+	Collector     *obs.Collector
+	PlanCacheSize int // see SetPlanCacheCapacity
+	Ablation      Ablation
+}
+
 // Evaluator evaluates statements against a catalog.
 type Evaluator struct {
 	cat     *catalog.Catalog
+	abl     Ablation   // immutable after New
 	limits  gov.Limits // zero fields = ungoverned
 	workers int        // 0 = GOMAXPROCS, 1 = sequential
 
@@ -60,7 +103,7 @@ type Evaluator struct {
 	// caller serialisation (configuration setters still do: the
 	// engine calls them under its exclusive lock).
 	memoMu sync.Mutex
-	// limitsFP memoizes the cache key's limits-and-knobs fingerprint.
+	// limitsFP memoizes the cache key's limits fingerprint.
 	limitsFP limitsFP
 	// normMemo remembers the last source→normalised-text mapping, so
 	// repeated traffic of one statement skips re-normalisation.
@@ -68,12 +111,17 @@ type Evaluator struct {
 }
 
 // New creates an evaluator over the given catalog.
-func New(cat *catalog.Catalog) *Evaluator {
+func New(cat *catalog.Catalog, cfg Config) *Evaluator {
 	ev := &Evaluator{
-		cat:       cat,
-		registry:  obs.NewRegistry(),
-		planCache: plancache.New(0),
+		cat:      cat,
+		abl:      cfg.Ablation,
+		limits:   cfg.Limits,
+		workers:  cfg.Workers,
+		registry: obs.NewRegistry(),
+		trace:    cfg.Trace,
+		sink:     cfg.Collector,
 	}
+	ev.SetPlanCacheCapacity(cfg.PlanCacheSize)
 	ev.scratchPool.New = func() any { return obs.NewCollector() }
 	return ev
 }
@@ -88,13 +136,6 @@ func (ev *Evaluator) Catalog() *catalog.Catalog { return ev.cat }
 // order, so the produced binding tables — and therefore all query
 // results — are identical for every setting.
 func (ev *Evaluator) SetParallelism(n int) { ev.workers = n }
-
-// SetMaxBindings bounds the size of intermediate binding tables; a
-// query whose evaluation would exceed the bound fails with a clear
-// error instead of exhausting memory (resource governance for
-// adversarial cartesian products). Zero means unlimited. It is a
-// shorthand for setting Limits.MaxBindings.
-func (ev *Evaluator) SetMaxBindings(n int) { ev.limits.MaxBindings = n }
 
 // SetLimits installs the per-statement resource budget.
 func (ev *Evaluator) SetLimits(l gov.Limits) { ev.limits = l }

@@ -17,6 +17,12 @@ import (
 // Figure 2, and the orders binding table of §5.
 func newToy(t *testing.T) *core.Evaluator {
 	t.Helper()
+	return newToyAblated(t, core.Ablation{})
+}
+
+// newToyAblated is newToy with the evaluator running under abl.
+func newToyAblated(t *testing.T, abl core.Ablation) *core.Evaluator {
+	t.Helper()
 	cat := catalog.New()
 	if err := cat.RegisterGraph(snb.SocialGraph()); err != nil {
 		t.Fatal(err)
@@ -40,7 +46,7 @@ func newToy(t *testing.T) *core.Evaluator {
 	if err := cat.RegisterTable(orders); err != nil {
 		t.Fatal(err)
 	}
-	return core.New(cat)
+	return core.New(cat, core.Config{Ablation: abl})
 }
 
 func run(t *testing.T, ev *core.Evaluator, src string) *core.Result {

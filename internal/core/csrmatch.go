@@ -18,32 +18,28 @@ import (
 // order, edge iteration order and every accept/reject decision mirror
 // the legacy code exactly, so the binding tables are identical row
 // for row; the differential tests at the repository root enforce
-// this against the DisableCSR ablation.
+// this against the MapKernels ablation.
 
-// DisableCSR turns the CSR kernels off, evaluating patterns and path
-// searches over the mutable ppg maps directly. Results are identical
-// either way (tested); the knob exists for differential tests and
-// ablation benchmarks.
-var DisableCSR bool
-
-// DisableIncrementalSnapshot turns delta-applied snapshot maintenance
-// off: every generation mismatch runs the full csr.Build, as before
-// the incremental path existed. Results are identical either way
-// (tested); the knob exists for differential tests and ablation
-// benchmarks. It gates inside the csr package so snapshots taken
-// outside snapOf (rpq kernels, expression contexts) honour it too.
-var DisableIncrementalSnapshot bool
-
-func init() { csr.BindDisableIncremental(&DisableIncrementalSnapshot) }
-
-// snapOf returns the graph's snapshot, or nil when CSR evaluation is
-// disabled. The snapshot is cached per generation inside the graph,
-// so repeated calls during one evaluation are cheap.
-func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
-	if DisableCSR {
+// snapshot returns the graph's snapshot under the evaluator's
+// ablation: nil with map kernels, a full rebuild on every generation
+// change under FullRebuild. The snapshot is cached per generation
+// inside the graph, so repeated calls during one evaluation are cheap.
+// Acquisitions through here are not counted; see snapOf.
+func (ev *Evaluator) snapshot(g *ppg.Graph) *csr.Snapshot {
+	if ev.abl.MapKernels {
 		return nil
 	}
-	snap, info := csr.OfCounted(g)
+	snap, _ := csr.OfCounted(g, ev.abl.FullRebuild)
+	return snap
+}
+
+// snapOf is Evaluator.snapshot recorded in the statement's snapshot
+// counters (reuses, full builds, delta applies).
+func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
+	if c.ev.abl.MapKernels {
+		return nil
+	}
+	snap, info := csr.OfCounted(g, c.ev.abl.FullRebuild)
 	c.col.CSREvent(info.Kind == csr.BuildReused)
 	if info.Kind != csr.BuildReused {
 		c.col.SnapshotBuild(info.Kind == csr.BuildDelta, info.Kind == csr.BuildFallback,

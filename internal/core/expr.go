@@ -136,12 +136,12 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 // columns mirror Properties.Get exactly); any other ref falls through
 // to the walk.
 func (e *env) lookupProp(ref value.Value, key string) value.Value {
-	if !DisablePropColumns && !DisableCSR && e.constructed == nil && len(e.graphs) > 0 {
+	if !e.c.ev.abl.MapProps && e.constructed == nil && len(e.graphs) > 0 {
 		if !e.colSnapSet {
 			e.colSnapSet = true
-			// csr.Of, not snapOf: the cache counters must stay
+			// Not snapOf: the cache counters must stay
 			// parallelism-invariant, and environments are per-chunk.
-			e.colSnap = csr.Of(e.graphs[0])
+			e.colSnap = e.c.ev.snapshot(e.graphs[0])
 		}
 		if snap := e.colSnap; snap != nil {
 			if id, ok := ref.RefID(); ok {

@@ -276,7 +276,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		pl, planned = c.cached.chainPlanFor(gp, g)
 	}
 	if !planned {
-		pl = planChain(gp, g)
+		pl = planChain(gp, g, c.ev.abl.TextualOrder)
 		if c.cached != nil {
 			c.cached.storeChainPlan(gp, g, pl)
 		}

@@ -38,7 +38,7 @@ func genEvaluator(t *testing.T, workers int) *core.Evaluator {
 	if err := cat.RegisterGraph(ds.Social); err != nil {
 		t.Fatal(err)
 	}
-	ev := core.New(cat)
+	ev := core.New(cat, core.Config{})
 	ev.SetParallelism(workers)
 	return ev
 }

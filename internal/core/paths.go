@@ -403,12 +403,7 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		nfas = []*rpq.NFA{fwd, bwd}
 	}
 	views := &viewAdapter{c: c, s: s, g: g}
-	var eng *rpq.Engine
-	if DisableCSR {
-		eng = rpq.NewLegacyEngine(g, views)
-	} else {
-		eng = rpq.NewEngine(g, views)
-	}
+	eng := rpq.NewEngine(g, c.ev.snapshot(g), views)
 	eng.SetGovernor(c.gov)
 	eng.SetCollector(c.col)
 

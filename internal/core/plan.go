@@ -31,12 +31,6 @@ import (
 // EXPLAIN surfaces both decisions (scan start/direction per chain,
 // fold order per MATCH) through the same planChain/joinOrder calls.
 
-// DisableReorder forces the textual evaluation order: chains start at
-// their leftmost node and conjunct patterns fold left to right.
-// Results are identical either way (the differential tests enforce
-// it); the knob exists for debugging and ablation benchmarks.
-var DisableReorder bool
-
 // estimateNodeScan is the planner's cardinality estimate for scanning
 // one node pattern: the most selective label conjunct's index bucket
 // size (mirroring indexedNodeCandidates), or the node count when the
@@ -80,10 +74,11 @@ func (pl chainPlan) startEstimate() int {
 // planChain decides the scan start of a chain. Only chains made
 // entirely of edge patterns are reversible: path patterns carry
 // orientation-dependent search semantics (cost, shortest-k) that the
-// emission-order restore does not model.
-func planChain(gp *ast.GraphPattern, g *ppg.Graph) chainPlan {
+// emission-order restore does not model. textual (the TextualOrder
+// ablation) pins the forward direction.
+func planChain(gp *ast.GraphPattern, g *ppg.Graph, textual bool) chainPlan {
 	pl := chainPlan{estFwd: estimateNodeScan(g, gp.Nodes[0]), estRev: math.MaxInt, runGp: gp}
-	if DisableReorder || g == nil || len(gp.Links) == 0 {
+	if textual || g == nil || len(gp.Links) == 0 {
 		return pl
 	}
 	for _, link := range gp.Links {
@@ -262,7 +257,7 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 	case 1:
 		return tables[0], nil
 	}
-	order := joinOrder(ests)
+	order := joinOrder(ests, c.ev.abl.TextualOrder)
 	if orderIsTextual(order) {
 		tbl := tables[0]
 		var err error
@@ -289,13 +284,13 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 
 // joinOrder returns the fold order for the conjunct-pattern tables of
 // one MATCH: indices sorted by estimate ascending, ties (and every
-// estimate, under DisableReorder) in textual order.
-func joinOrder(ests []int) []int {
+// estimate, when textual) in textual order.
+func joinOrder(ests []int, textual bool) []int {
 	order := make([]int, len(ests))
 	for i := range order {
 		order[i] = i
 	}
-	if DisableReorder {
+	if textual {
 		return order
 	}
 	sort.SliceStable(order, func(a, b int) bool { return ests[order[a]] < ests[order[b]] })

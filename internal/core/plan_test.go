@@ -47,7 +47,7 @@ func planGraph(t *testing.T) *ppg.Graph {
 	return g
 }
 
-func planEvaluator(t *testing.T) *Evaluator {
+func planEvaluator(t *testing.T, abl Ablation) *Evaluator {
 	t.Helper()
 	cat := catalog.New()
 	if err := cat.RegisterGraph(planGraph(t)); err != nil {
@@ -56,7 +56,7 @@ func planEvaluator(t *testing.T) *Evaluator {
 	if err := cat.SetDefault("plan_graph"); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat)
+	return New(cat, Config{Ablation: abl})
 }
 
 func nodePat(v string, labels ...string) *ast.NodePattern {
@@ -93,7 +93,7 @@ func TestPlanChainReversal(t *testing.T) {
 		Nodes: []*ast.NodePattern{nodePat("p", "Person"), nodePat("c", "City")},
 		Links: []ast.Link{&ast.EdgePattern{Var: "e", Dir: ast.DirOut, Labels: ast.LabelSpec{{"isLocatedIn"}}}},
 	}
-	pl := planChain(gp, g)
+	pl := planChain(gp, g, false)
 	if !pl.reversed || pl.estFwd != 4 || pl.estRev != 1 {
 		t.Fatalf("plan = %+v, want reversed with estFwd=4 estRev=1", pl)
 	}
@@ -117,7 +117,7 @@ func TestPlanChainReversal(t *testing.T) {
 		Nodes: []*ast.NodePattern{nodePat("c", "City"), nodePat("p", "Person")},
 		Links: []ast.Link{&ast.EdgePattern{Dir: ast.DirIn, Labels: ast.LabelSpec{{"isLocatedIn"}}}},
 	}
-	if pl := planChain(fw, g); pl.reversed {
+	if pl := planChain(fw, g, false); pl.reversed {
 		t.Error("chain already starting at the cheap end must not reverse")
 	}
 
@@ -126,15 +126,13 @@ func TestPlanChainReversal(t *testing.T) {
 		Nodes: []*ast.NodePattern{nodePat("p", "Person"), nodePat("c", "City")},
 		Links: []ast.Link{&ast.PathPattern{Mode: ast.PathReach}},
 	}
-	if pl := planChain(withPath, g); pl.reversed || pl.estRev != math.MaxInt {
+	if pl := planChain(withPath, g, false); pl.reversed || pl.estRev != math.MaxInt {
 		t.Errorf("path chain plan = %+v, want unreversed", pl)
 	}
 
-	// The ablation knob forces the textual order.
-	DisableReorder = true
-	defer func() { DisableReorder = false }()
-	if pl := planChain(gp, g); pl.reversed {
-		t.Error("DisableReorder must pin the forward direction")
+	// The TextualOrder ablation forces the textual order.
+	if pl := planChain(gp, g, true); pl.reversed {
+		t.Error("TextualOrder must pin the forward direction")
 	}
 }
 
@@ -152,19 +150,17 @@ func TestReverseNames(t *testing.T) {
 
 func TestJoinOrder(t *testing.T) {
 	ests := []int{50, 2, math.MaxInt, 2}
-	got := joinOrder(ests)
+	got := joinOrder(ests, false)
 	want := []int{1, 3, 0, 2} // ties keep textual order
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("joinOrder = %v, want %v", got, want)
 		}
 	}
-	DisableReorder = true
-	defer func() { DisableReorder = false }()
-	got = joinOrder(ests)
+	got = joinOrder(ests, true)
 	for i := range got {
 		if got[i] != i {
-			t.Fatalf("DisableReorder joinOrder = %v, want identity", got)
+			t.Fatalf("TextualOrder joinOrder = %v, want identity", got)
 		}
 	}
 }
@@ -191,12 +187,10 @@ func TestPlannedEvalMatchesTextual(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		eval := func(disable bool) string {
-			DisableReorder = disable
-			defer func() { DisableReorder = false }()
-			res, err := planEvaluator(t).EvalStatement(stmt)
+		eval := func(textual bool) string {
+			res, err := planEvaluator(t, Ablation{TextualOrder: textual}).EvalStatement(stmt)
 			if err != nil {
-				t.Fatalf("eval %q (disable=%v): %v", q, disable, err)
+				t.Fatalf("eval %q (textual=%v): %v", q, textual, err)
 			}
 			return res.Table.String()
 		}
@@ -211,7 +205,7 @@ func TestPlannedEvalMatchesTextual(t *testing.T) {
 // TestExplainSurfacesPlan: EXPLAIN prints the scan direction decision
 // and the conjunct join order.
 func TestExplainSurfacesPlan(t *testing.T) {
-	ev := planEvaluator(t)
+	ev := planEvaluator(t, Ablation{})
 	explainQ := func(q string) string {
 		stmt, err := parser.Parse(q)
 		if err != nil {
@@ -232,7 +226,7 @@ func TestExplainSurfacesPlan(t *testing.T) {
 		t.Errorf("reversed chain not shown from its start:\n%s", plan)
 	}
 	plan = explainQ(`SELECT p.nr AS a, c.nr AS b MATCH (p:Person), (c:City)`)
-	if !strings.Contains(plan, "join order: pattern 2 [est 1] ⋈ pattern 1 [est 4]") {
+	if !strings.Contains(plan, "join order: pattern 2 [est 1] × pattern 1 [est 4] (cross product)") {
 		t.Errorf("join order not surfaced:\n%s", plan)
 	}
 	plan = explainQ(`SELECT c.nr AS b MATCH (c:City)`)
@@ -246,14 +240,13 @@ MATCH (c:City) OPTIONAL (x) ON (CONSTRUCT (m:Manager) MATCH (m:Manager))`)
 		t.Errorf("subquery pattern must not print a static scan decision:\n%s", plan)
 	}
 
-	DisableReorder = true
-	defer func() { DisableReorder = false }()
+	ev = planEvaluator(t, Ablation{TextualOrder: true})
 	plan = explainQ(`SELECT p.nr AS a, c.nr AS b MATCH (p:Person), (c:City)`)
-	if !strings.Contains(plan, "join order: pattern 1 [est 4] ⋈ pattern 2 [est 1]") {
-		t.Errorf("DisableReorder join order not textual:\n%s", plan)
+	if !strings.Contains(plan, "join order: pattern 1 [est 4] × pattern 2 [est 1] (cross product)") {
+		t.Errorf("TextualOrder join order not textual:\n%s", plan)
 	}
 	plan = explainQ(`SELECT p.nr AS nr MATCH (p:Person)-[:isLocatedIn]->(c:City)`)
 	if !strings.Contains(plan, "start: left end, forward scan [est 4]") {
-		t.Errorf("DisableReorder must pin the forward scan:\n%s", plan)
+		t.Errorf("TextualOrder must pin the forward scan:\n%s", plan)
 	}
 }

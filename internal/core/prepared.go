@@ -25,12 +25,6 @@ import (
 // graph pointer and mutation generation they were computed for, so a
 // stale plan is never served even for graphs reached via ON.
 
-// DisablePlanCache is the ablation knob: when set, every evaluation
-// compiles from source again, with parameters inlined textually as
-// literals. Results are byte-identical either way (the differential
-// tests enforce it).
-var DisablePlanCache bool
-
 // CachedStatement is one plan-cache entry: the parsed and analyzed
 // statement plus the compiled artifacts accumulated by executions —
 // path-expression NFAs and selectivity-planner decisions. The AST is
@@ -212,9 +206,9 @@ func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
 // cacheKey builds the plan-cache key for normalised statement text:
 // the catalog version covers registrations, the default graph's
 // generation covers mutations of the implicit target (the session
-// override when one is set), the limits fingerprint and worker count
-// cover execution configuration, and the ablation knobs are folded in
-// so flipping one never reuses a plan compiled under another regime.
+// override when one is set), and the limits fingerprint and worker
+// count cover execution configuration. The evaluator's ablation is
+// fixed at construction, so it needs no part of the key.
 func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
 	var g *ppg.Graph
 	if opts.DefaultGraph != "" {
@@ -240,36 +234,25 @@ func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
 	}
 }
 
-// limitsFP memoizes the rendered limits-and-knobs fingerprint: limits
-// and ablation knobs change rarely, while cacheKey runs on every
-// statement, so the string is rebuilt only when an input moves. The
-// memo is guarded by memoMu: concurrent read-only statements share
-// the evaluator under the engine's read lock.
+// limitsFP memoizes the rendered limits fingerprint: limits change
+// rarely, while cacheKey runs on every statement, so the string is
+// rebuilt only when they move. The memo is guarded by memoMu:
+// concurrent read-only statements share the evaluator under the
+// engine's read lock.
 type limitsFP struct {
-	limits                          gov.Limits
-	reorder, csr, propCols, incSnap bool
-	havePlanFP                      bool
-	fp                              string
-}
-
-func renderLimitsFP(l gov.Limits) string {
-	return fmt.Sprintf("%d|%d|%d|%d|%t%t%t%t",
-		l.MaxBindings, l.MaxPathFrontier,
-		l.MaxResultElements, int64(l.Timeout),
-		DisableReorder, DisableCSR, DisablePropColumns, DisableIncrementalSnapshot)
+	limits gov.Limits
+	have   bool
+	fp     string
 }
 
 func (ev *Evaluator) limitsFingerprint(l gov.Limits) string {
 	ev.memoMu.Lock()
 	defer ev.memoMu.Unlock()
 	m := &ev.limitsFP
-	if !m.havePlanFP || m.limits != l ||
-		m.reorder != DisableReorder || m.csr != DisableCSR ||
-		m.propCols != DisablePropColumns || m.incSnap != DisableIncrementalSnapshot {
-		m.limits, m.reorder, m.csr, m.propCols, m.incSnap =
-			l, DisableReorder, DisableCSR, DisablePropColumns, DisableIncrementalSnapshot
-		m.havePlanFP = true
-		m.fp = renderLimitsFP(l)
+	if !m.have || m.limits != l {
+		m.limits, m.have = l, true
+		m.fp = fmt.Sprintf("%d|%d|%d|%d", l.MaxBindings, l.MaxPathFrontier,
+			l.MaxResultElements, int64(l.Timeout))
 	}
 	return m.fp
 }
@@ -292,7 +275,7 @@ func (ev *Evaluator) normalize(src string) string {
 // cache (which is internally synchronised), so it is safe under the
 // engine's read lock.
 func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts ExecOpts) (Exec, error) {
-	if ev.planCache == nil || DisablePlanCache {
+	if ev.planCache == nil {
 		text := src
 		if len(params) > 0 {
 			var err error
@@ -329,7 +312,7 @@ func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts
 // analysis, through the plan cache when enabled (so a subsequent Eval
 // of the same text hits). Parameters may remain unbound.
 func (ev *Evaluator) CheckSrc(src string, opts ExecOpts) error {
-	if ev.planCache == nil || DisablePlanCache {
+	if ev.planCache == nil {
 		stmt, err := parser.Parse(src)
 		if err != nil {
 			return err

@@ -31,15 +31,9 @@ import (
 // non-NaN float literals), and everything else falls back first to the
 // mirrored FSET(V) sets and ultimately to the interpreter itself (refs
 // the snapshot does not know). The differential suites and
-// FuzzPropColumns enforce the equivalence against DisablePropColumns.
-
-// DisablePropColumns is the ablation knob for the columnar property
-// fast paths: when set, pushdown filters, residual filters, property
-// lookups and SELECT projection fall back to the row-at-a-time
-// ppg.Properties map reads, exactly as before the columns existed.
-// Snapshots still build their columns either way (the knob gates use,
-// not construction), mirroring DisableCSR / DisablePushdown.
-var DisablePropColumns bool
+// FuzzPropColumns enforce the equivalence against the MapProps
+// ablation, which gates the use of the columns, not their
+// construction.
 
 // colPred is the compiled, snapshot-independent form of one conjunct.
 type colPred struct {
@@ -415,7 +409,7 @@ func boolEval(col *csr.PropCol, op ast.BinaryOp, l bool) func(int32) bool {
 //     (both error-free) are left to applyReady, and the first conjunct
 //     that may error stops the walk — nothing after it pre-filters.
 func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName string, conjs []*conjunct) []*boundPred {
-	if DisablePropColumns || DisablePushdown || len(conjs) == 0 {
+	if c.ev.abl.MapProps || c.ev.abl.ResidualFilters || len(conjs) == 0 {
 		return nil
 	}
 	for _, ps := range np.Props {

@@ -152,16 +152,10 @@ func collectExprVars(e ast.Expr, into map[string]bool) bool {
 	return false
 }
 
-// DisablePushdown turns eager conjunct application off, leaving every
-// conjunct to the residual filter. Results are identical either way
-// (the equivalence is tested); the knob exists only so the ablation
-// benchmarks can measure what the optimisation buys.
-var DisablePushdown bool
-
 // applyReady filters tbl by every pushable, not-yet-applied conjunct
 // whose variables are all in the table schema.
 func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Graph) (*bindings.Table, error) {
-	if len(conjs) == 0 || DisablePushdown {
+	if len(conjs) == 0 || c.ev.abl.ResidualFilters {
 		return tbl, nil
 	}
 	var ready []*conjunct
@@ -217,7 +211,7 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 				accels[i] = accel{label: &labelFast{v: lt.Var, lids: lids}, slot: tbl.SlotOf(lt.Var)}
 				continue
 			}
-			if !DisablePropColumns {
+			if !c.ev.abl.MapProps {
 				if p := cj.colPred(); p != nil {
 					accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
 				}
@@ -324,7 +318,7 @@ func (c *evalCtx) residualFilter(conjs []*conjunct, tbl *bindings.Table, env *en
 	// graphs[0] resolves exactly like the interpreter's walk).
 	preds := make([]*boundPred, len(rest))
 	slots := make([]int, len(rest))
-	if !DisablePropColumns && env.constructed == nil && len(env.graphs) > 0 {
+	if !c.ev.abl.MapProps && env.constructed == nil && len(env.graphs) > 0 {
 		if snap := c.snapOf(env.graphs[0]); snap != nil {
 			for i, cj := range rest {
 				if p := cj.colPred(); p != nil {

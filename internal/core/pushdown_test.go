@@ -38,9 +38,7 @@ WHERE EXISTS (CONSTRUCT () MATCH (n)-[:hasInterest]->(:Tag {name='Wagner'}))
 OPTIONAL (n)-[:knows]->(f) WHERE (f:Person)`,
 	}
 	render := func(disable bool, src string) string {
-		core.DisablePushdown = disable
-		defer func() { core.DisablePushdown = false }()
-		ev := newToy(t)
+		ev := newToyAblated(t, core.Ablation{ResidualFilters: disable})
 		stmt, err := parser.Parse(src)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
@@ -76,14 +74,12 @@ WHERE n.anchor = TRUE AND c < 3
 ORDER BY a, b`
 	for seed := int64(1); seed <= 3; seed++ {
 		render := func(disable bool) string {
-			core.DisablePushdown = disable
-			defer func() { core.DisablePushdown = false }()
 			cat := catalog.New()
 			ds := snb.Generate(snb.Config{Persons: 25, Seed: seed}, cat.IDs())
 			if err := cat.RegisterGraph(ds.Social); err != nil {
 				t.Fatal(err)
 			}
-			ev := core.New(cat)
+			ev := core.New(cat, core.Config{Ablation: core.Ablation{ResidualFilters: disable}})
 			stmt, err := parser.Parse(query)
 			if err != nil {
 				t.Fatal(err)

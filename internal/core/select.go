@@ -77,7 +77,7 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 
 	sorted := tbl.Sorted()
 	var rows []projRow
-	if !hasAgg && !DisablePropColumns {
+	if !hasAgg && !c.ev.abl.MapProps {
 		// No aggregates: one output row per binding. Rows dispatch
 		// through the slot table (and property reads through the
 		// snapshot columns) instead of materialising a map per row.

@@ -41,18 +41,6 @@ import (
 // full rebuild also re-densifies every overlay, so fallbacks act as
 // compaction.
 
-// DisableIncremental gating. The knob itself lives in internal/core
-// (core.DisableIncrementalSnapshot, beside DisableCSR), but snapshots
-// are also taken inside this package's callers that never go through
-// core's snapOf (rpq, expression contexts), so the gate binds here.
-var disableIncremental *bool
-
-// BindDisableIncremental points the incremental gate at an external
-// knob; core's init wires core.DisableIncrementalSnapshot here.
-func BindDisableIncremental(p *bool) { disableIncremental = p }
-
-func incrementalOff() bool { return disableIncremental != nil && *disableIncremental }
-
 // BuildKind says how OfCounted obtained its snapshot.
 type BuildKind uint8
 
@@ -61,7 +49,7 @@ const (
 	// BuildReused served the cached snapshot (generation match).
 	BuildReused BuildKind = iota
 	// BuildFull ran the full Build (no previous snapshot, recording
-	// dropped, or incremental maintenance disabled).
+	// dropped, or a full rebuild requested).
 	BuildFull
 	// BuildDelta applied the recorded delta to the previous snapshot.
 	BuildDelta

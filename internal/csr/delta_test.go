@@ -12,7 +12,7 @@ import (
 // and reports how it was obtained.
 func snapKind(t *testing.T, g *ppg.Graph) (*Snapshot, BuildKind) {
 	t.Helper()
-	s, info := OfCounted(g)
+	s, info := OfCounted(g, false)
 	return s, info.Kind
 }
 
@@ -211,7 +211,7 @@ func TestDeltaSharingAccounting(t *testing.T) {
 	if err := g.AddNode(&ppg.Node{ID: 500, Labels: ppg.NewLabels("Person")}); err != nil {
 		t.Fatal(err)
 	}
-	_, info := OfCounted(g)
+	_, info := OfCounted(g, false)
 	if info.Kind != BuildDelta {
 		t.Fatalf("kind = %v, want BuildDelta", info.Kind)
 	}
@@ -353,22 +353,18 @@ func TestCloneStartsFreshChain(t *testing.T) {
 	}
 }
 
+// TestDisableIncrementalKnob: OfCounted's fullRebuild argument skips
+// the delta path for that acquisition only; the next incremental
+// acquisition applies deltas again.
 func TestDisableIncrementalKnob(t *testing.T) {
-	var off bool
-	old := disableIncremental
-	disableIncremental = &off
-	defer func() { disableIncremental = old }()
-
 	g := deltaGraph(t)
 	snapKind(t, g)
-	off = true
 	if err := g.AddNode(&ppg.Node{ID: 900}); err != nil {
 		t.Fatal(err)
 	}
-	if _, kind := snapKind(t, g); kind != BuildFull {
-		t.Fatal("knob on: snapshot should be a full rebuild")
+	if _, info := OfCounted(g, true); info.Kind != BuildFull {
+		t.Fatal("full rebuild requested: snapshot should be a full rebuild")
 	}
-	off = false
 	if err := g.AddNode(&ppg.Node{ID: 901}); err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +398,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	const n = 20_000
 	for _, mode := range []string{"delta-apply", "full-rebuild"} {
 		b.Run(mode, func(b *testing.B) {
-			off := mode == "full-rebuild"
-			old := disableIncremental
-			disableIncremental = &off
-			defer func() { disableIncremental = old }()
+			full := mode == "full-rebuild"
 			g := build(n)
 			Of(g)
 			p := ppg.Properties{}
@@ -422,7 +415,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				Of(g)
+				OfCounted(g, full)
 			}
 		})
 	}

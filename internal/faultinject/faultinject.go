@@ -20,14 +20,14 @@ import (
 // The probe sites. Each names one evaluation checkpoint; the site is
 // passed to gov.Governor.Checkpoint, which forwards it here when the
 // harness is armed. Sites come in pairs where the engine has a legacy
-// and a CSR kernel for the same operation — the fault tests toggle
-// the ablation knobs to reach both.
+// and a CSR kernel for the same operation — the fault tests run an
+// engine under each ablation to reach both.
 const (
 	// SiteEvalStart fires once at the top of every statement
 	// evaluation, before any clause runs.
 	SiteEvalStart = "core.eval"
 	// SiteCoreScan fires in the node-scan candidate loops (legacy and
-	// CSR forms share it; the DisableCSR knob selects which runs).
+	// CSR forms share it; the MapKernels ablation selects which runs).
 	SiteCoreScan = "core.scan"
 	// SiteCoreExtend fires per row of the edge-expansion loops
 	// (legacy and CSR forms).

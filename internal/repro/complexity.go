@@ -6,6 +6,7 @@ import (
 
 	"gcore"
 	"gcore/internal/ast"
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 	"gcore/internal/rpq"
 )
@@ -192,7 +193,7 @@ func AblationSimplePath(widths []int, maxVisits int) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, w := range widths {
 		g, src, dst := GridGraph(w)
-		eng := rpq.NewEngine(g, nil)
+		eng := rpq.NewEngine(g, csr.Of(g), nil)
 		pt := AblationPoint{Size: w}
 
 		start := time.Now()
@@ -249,7 +250,7 @@ func AblationWalkOnly(w int) (bool, error) {
 		return false, err
 	}
 	g, src, dst := GridGraph(w)
-	res, err := rpq.NewEngine(g, nil).ShortestPaths(src, nfa, 1)
+	res, err := rpq.NewEngine(g, csr.Of(g), nil).ShortestPaths(src, nfa, 1)
 	if err != nil {
 		return false, err
 	}
@@ -264,7 +265,7 @@ func AblationSimpleOnly(w, maxVisits int) (int, error) {
 		return 0, err
 	}
 	g, src, dst := GridGraph(w)
-	count, _, err := rpq.NewEngine(g, nil).CountSimplePaths(src, dst, nfa, maxVisits)
+	count, _, err := rpq.NewEngine(g, csr.Of(g), nil).CountSimplePaths(src, dst, nfa, maxVisits)
 	return count, err
 }
 
@@ -276,7 +277,7 @@ func AblationTrailOnly(w, maxVisits int) (int, error) {
 		return 0, err
 	}
 	g, src, dst := GridGraph(w)
-	count, _, err := rpq.NewEngine(g, nil).CountTrails(src, dst, nfa, maxVisits)
+	count, _, err := rpq.NewEngine(g, csr.Of(g), nil).CountTrails(src, dst, nfa, maxVisits)
 	return count, err
 }
 
@@ -288,7 +289,7 @@ func AblationProjectionOnly(w int) (nodes, edges int, err error) {
 		return 0, 0, err
 	}
 	g, src, dst := GridGraph(w)
-	ap, err := rpq.NewEngine(g, nil).AllPaths(src, nfa)
+	ap, err := rpq.NewEngine(g, csr.Of(g), nil).AllPaths(src, nfa)
 	if err != nil {
 		return 0, 0, err
 	}

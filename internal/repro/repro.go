@@ -30,9 +30,9 @@ func (c Check) OK() bool { return c.Err == nil }
 
 // NewEngine builds the toy database of the guided tour: social_graph
 // (default), company_graph, the Figure 2 example graph, and the
-// orders table.
-func NewEngine() (*gcore.Engine, error) {
-	eng := gcore.NewEngine()
+// orders table. opts configure the engine as in gcore.NewEngine.
+func NewEngine(opts ...gcore.Option) (*gcore.Engine, error) {
+	eng := gcore.NewEngine(opts...)
 	for _, g := range []*gcore.Graph{
 		gcore.SampleSocialGraph(), gcore.SampleCompanyGraph(), gcore.SampleExampleGraph(),
 	} {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
 
@@ -40,7 +41,7 @@ func BenchmarkShortestPaths(b *testing.B) {
 	}
 	for _, n := range []int{200, 800} {
 		g := benchGraph(n, 4)
-		eng := NewEngine(g, nil)
+		eng := NewEngine(g, csr.Of(g), nil)
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.ShortestPaths(1, nfa, 1); err != nil {
@@ -58,7 +59,7 @@ func BenchmarkKShortest(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := benchGraph(400, 4)
-	eng := NewEngine(g, nil)
+	eng := NewEngine(g, csr.Of(g), nil)
 	for _, k := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -76,7 +77,7 @@ func BenchmarkReachable(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := benchGraph(800, 4)
-	eng := NewEngine(g, nil)
+	eng := NewEngine(g, csr.Of(g), nil)
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Reachable(1, nfa); err != nil {
 			b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gcore/internal/ast"
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
 
@@ -76,14 +77,8 @@ func TestCSRMatchesLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, nil)
-		if csrEng.snap == nil {
-			t.Fatal("NewEngine did not attach a snapshot")
-		}
-		legEng := NewLegacyEngine(g, nil)
-		if legEng.snap != nil {
-			t.Fatal("NewLegacyEngine attached a snapshot")
-		}
+		csrEng := NewEngine(g, csr.Of(g), nil)
+		legEng := NewEngine(g, nil, nil)
 		for ni, nfa := range diffRegexes(t) {
 			for _, src := range ids[:3] {
 				for _, k := range []int{1, 3} {
@@ -152,8 +147,8 @@ func TestCSRBaselinesMatchLegacy(t *testing.T) {
 	nfa := mustCompile(t, rxPlus(rxAlt(rxLabel("a"), rxLabel("b"))))
 	for trial := 0; trial < 6; trial++ {
 		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, nil)
-		legEng := NewLegacyEngine(g, nil)
+		csrEng := NewEngine(g, csr.Of(g), nil)
+		legEng := NewEngine(g, nil, nil)
 		src, dst := ids[0], ids[1]
 
 		gotB, gotV, err := csrEng.SimplePathSearch(src, nfa, 50_000)
@@ -191,25 +186,6 @@ func TestCSRBaselinesMatchLegacy(t *testing.T) {
 		if gtc != wtc || gtv != wtv {
 			t.Fatalf("trial %d: CountTrails diverged (%d/%d vs %d/%d)", trial, gtc, gtv, wtc, wtv)
 		}
-	}
-}
-
-// TestUseLegacyKnob: the package knob flips NewEngine to the legacy
-// path and back.
-func TestUseLegacyKnob(t *testing.T) {
-	g := ppg.New("knob")
-	if err := g.AddNode(&ppg.Node{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	UseLegacy = true
-	leg := NewEngine(g, nil)
-	UseLegacy = false
-	cs := NewEngine(g, nil)
-	if leg.snap != nil {
-		t.Fatal("UseLegacy=true still attached a snapshot")
-	}
-	if cs.snap == nil {
-		t.Fatal("UseLegacy=false did not attach a snapshot")
 	}
 }
 

@@ -70,26 +70,13 @@ func (e *Engine) SetGovernor(g *gov.Governor) { e.gov = g }
 // synchronised, so concurrent searches on one engine may share it.
 func (e *Engine) SetCollector(col *obs.Collector) { e.col = col }
 
-// UseLegacy forces NewEngine to return legacy (map-based) engines.
-// Exported for differential tests and ablation benchmarks only.
-var UseLegacy = false
-
 // NewEngine creates an engine; views may be nil if the regexes used
-// contain no ~view references. Searches run over the graph's CSR
-// snapshot (built or reused via the generation-tagged cache) unless
-// UseLegacy is set.
-func NewEngine(g *ppg.Graph, views ViewResolver) *Engine {
-	if UseLegacy {
-		return NewLegacyEngine(g, views)
-	}
-	return &Engine{g: g, views: views, snap: csr.Of(g)}
-}
-
-// NewLegacyEngine creates an engine that evaluates over the mutable
-// ppg maps directly, bypassing the CSR snapshot. It exists so
-// differential tests can compare the two evaluation paths.
-func NewLegacyEngine(g *ppg.Graph, views ViewResolver) *Engine {
-	return &Engine{g: g, views: views}
+// contain no ~view references. Searches run the CSR kernels over snap,
+// the caller's snapshot of g, or the legacy map-based kernels over g's
+// mutable maps when snap is nil (differential tests and ablation
+// benchmarks compare the two).
+func NewEngine(g *ppg.Graph, snap *csr.Snapshot, views ViewResolver) *Engine {
+	return &Engine{g: g, views: views, snap: snap}
 }
 
 // PathResult is one path found by the search, with its cost (hop

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
 
@@ -109,7 +110,7 @@ func TestQuickEngineMatchesExplicitProduct(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eng := NewEngine(g, nil)
+		eng := NewEngine(g, csr.Of(g), nil)
 		got, err := eng.ShortestPaths(1, nfa, 1)
 		if err != nil {
 			return false
@@ -183,7 +184,7 @@ func TestQuickKShortestMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := NewEngine(g, nil).ShortestPaths(1, nfa, 4)
+		res, err := NewEngine(g, csr.Of(g), nil).ShortestPaths(1, nfa, 4)
 		if err != nil {
 			return false
 		}
@@ -217,7 +218,7 @@ func TestQuickNodeTestRegexProduct(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randLabelledGraph(r, 6)
-		eng := NewEngine(g, nil)
+		eng := NewEngine(g, csr.Of(g), nil)
 		got, err := eng.ShortestPaths(1, nfa, 1)
 		if err != nil {
 			return false

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gcore/internal/ast"
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
 
@@ -62,7 +63,7 @@ func lineGraph(t *testing.T, n int) *ppg.Graph {
 
 func TestShortestPathsLine(t *testing.T) {
 	g := lineGraph(t, 5)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("a")))
 	res, err := e.ShortestPaths(1, nfa, 1)
 	if err != nil {
@@ -90,7 +91,7 @@ func TestShortestPathsLine(t *testing.T) {
 
 func TestShortestPrefersFewerHops(t *testing.T) {
 	g := lineGraph(t, 5)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	// (a|b)*: the b shortcut reaches node 5 in one hop.
 	nfa := mustCompile(t, rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
 	res, err := e.ShortestPaths(1, nfa, 1)
@@ -104,7 +105,7 @@ func TestShortestPrefersFewerHops(t *testing.T) {
 
 func TestKShortest(t *testing.T) {
 	g := lineGraph(t, 5)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
 	res, err := e.ShortestPaths(1, nfa, 3)
 	if err != nil {
@@ -124,7 +125,7 @@ func TestKShortest(t *testing.T) {
 
 func TestInverseEdges(t *testing.T) {
 	g := lineGraph(t, 3)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	// From node 3 backwards over a⁻.
 	nfa := mustCompile(t, rxStar(rxInv("a")))
 	res, err := e.ShortestPaths(3, nfa, 1)
@@ -152,7 +153,7 @@ func TestNodeLabelTest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	// e !B e: middle node must carry label B.
 	ok := mustCompile(t, rxCat(rxLabel("e"), rxNode("B"), rxLabel("e")))
 	res, err := e.ShortestPaths(1, ok, 1)
@@ -175,7 +176,7 @@ func TestNodeLabelTest(t *testing.T) {
 
 func TestReachable(t *testing.T) {
 	g := lineGraph(t, 4)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxPlus(rxLabel("a")))
 	got, err := e.Reachable(2, nfa)
 	if err != nil {
@@ -212,7 +213,7 @@ func diamondGraph(t *testing.T) *ppg.Graph {
 
 func TestAllPathsProjection(t *testing.T) {
 	g := diamondGraph(t)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	ap, err := e.AllPaths(1, nfa)
 	if err != nil {
@@ -250,7 +251,7 @@ func TestAllPathsProjectionWithCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	ap, err := e.AllPaths(1, nfa)
 	if err != nil {
@@ -285,7 +286,7 @@ func TestWeightedViewSearch(t *testing.T) {
 		return []Segment{{From: from, To: to, Cost: c,
 			Nodes: []ppg.NodeID{from, to}, Edges: []ppg.EdgeID{ppg.EdgeID(100 + uint64(from))}}}, nil
 	})
-	e := NewEngine(g, views)
+	e := NewEngine(g, csr.Of(g), views)
 	nfa := mustCompile(t, rxStar(&ast.Regex{Op: ast.RxView, Label: "w"}))
 	res, err := e.ShortestPaths(1, nfa, 1)
 	if err != nil {
@@ -304,21 +305,21 @@ func TestViewErrors(t *testing.T) {
 	g := lineGraph(t, 3)
 	nfa := mustCompile(t, &ast.Regex{Op: ast.RxView, Label: "w"})
 	// No resolver in scope.
-	if _, err := NewEngine(g, nil).ShortestPaths(1, nfa, 1); err == nil {
+	if _, err := NewEngine(g, csr.Of(g), nil).ShortestPaths(1, nfa, 1); err == nil {
 		t.Error("view without resolver must error")
 	}
 	// Non-positive cost is the runtime error mandated by §3.
 	bad := viewResolverFunc(func(string, ppg.NodeID) ([]Segment, error) {
 		return []Segment{{From: 1, To: 2, Cost: 0}}, nil
 	})
-	if _, err := NewEngine(g, bad).ShortestPaths(1, nfa, 1); err == nil {
+	if _, err := NewEngine(g, csr.Of(g), bad).ShortestPaths(1, nfa, 1); err == nil {
 		t.Error("non-positive cost must raise a runtime error")
 	}
 }
 
 func TestSimplePathBaseline(t *testing.T) {
 	g := diamondGraph(t)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	best, visits, err := e.SimplePathSearch(1, nfa, 1_000_000)
 	if err != nil {
@@ -349,7 +350,7 @@ func TestSimplePathBaseline(t *testing.T) {
 
 func TestSimplePathBudget(t *testing.T) {
 	g := diamondGraph(t)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	_, visits, err := e.SimplePathSearch(1, nfa, 3)
 	if err != nil {
@@ -508,7 +509,7 @@ func TestQuickDijkstraMatchesBellmanFord(t *testing.T) {
 		views := viewResolverFunc(func(name string, from ppg.NodeID) ([]Segment, error) {
 			return segs[from], nil
 		})
-		e := NewEngine(g, views)
+		e := NewEngine(g, csr.Of(g), views)
 		nfa, err := Compile(rxStar(&ast.Regex{Op: ast.RxView, Label: "w"}))
 		if err != nil {
 			return false
@@ -560,7 +561,7 @@ func TestQuickPathsAreValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, _ := randWeightedGraph(r, 6)
-		e := NewEngine(g, nil)
+		e := NewEngine(g, csr.Of(g), nil)
 		nfa, err := Compile(rxStar(rxAlt(rxLabel("e"), rxInv("e"))))
 		if err != nil {
 			return false

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"gcore/internal/ast"
+	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
 
 func TestTrailSearchDiamond(t *testing.T) {
 	g := diamondGraph(t)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	best, visits, err := e.TrailSearch(1, nfa, 1_000_000)
 	if err != nil {
@@ -46,7 +47,7 @@ func TestTrailsVsSimplePaths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	// 1→4 trails: [1,2,4] and [1,3,1,2,4] (revisits node 1 but no
 	// edge) and [1,2,1,3,1,2,4]? — no: edge 1→2 reused. So 2 trails.
@@ -81,7 +82,7 @@ func TestTrailsVsSimplePaths(t *testing.T) {
 
 func TestTrailBudgetAndViews(t *testing.T) {
 	g := diamondGraph(t)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
 	_, visits, err := e.TrailSearch(1, nfa, 3)
 	if err != nil || visits > 3 {
@@ -105,7 +106,7 @@ func TestTrailBudgetAndViews(t *testing.T) {
 
 func TestDestinations(t *testing.T) {
 	g := lineGraph(t, 4)
-	e := NewEngine(g, nil)
+	e := NewEngine(g, csr.Of(g), nil)
 	nfa := mustCompile(t, rxPlus(rxLabel("a")))
 	ap, err := e.AllPaths(1, nfa)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gcore"
+	"gcore/internal/core"
 	"gcore/internal/parser"
 )
 
@@ -25,7 +26,7 @@ import (
 // evalObserved runs one query on a fresh engine built by setup with a
 // collector attached and the given worker count; it returns the
 // rendered result and the collector's aggregate totals.
-func evalObserved(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, workers int) (string, gcore.Stats) {
+func evalObserved(t *testing.T, setup engineSetup, query string, workers int) (string, gcore.Stats) {
 	t.Helper()
 	eng := setup(t)
 	eng.SetParallelism(workers)
@@ -64,7 +65,7 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
-			plain := evalConfigured(t, tourEngine, query, false, 1)
+			plain := evalAblated(t, tourEngine, query, core.Ablation{}, 1)
 			seq, seqStats := evalObserved(t, tourEngine, query, 1)
 			par, parStats := evalObserved(t, tourEngine, query, 0)
 			if seq != plain {
@@ -88,7 +89,7 @@ func TestObservabilityDifferentialSNB(t *testing.T) {
 	setup, queries := snbQueries()
 	for i, query := range queries {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			plain := evalConfigured(t, setup, query, false, 1)
+			plain := evalAblated(t, setup, query, core.Ablation{}, 1)
 			seq, seqStats := evalObserved(t, setup, query, 1)
 			par, parStats := evalObserved(t, setup, query, 0)
 			if seq != plain {
@@ -141,32 +142,6 @@ func TestOptionsSettersParity(t *testing.T) {
 	}
 }
 
-// TestSetMaxBindingsEquivalence: the deprecated SetMaxBindings is the
-// MaxBindings field of Limits — both forms trip the same budget error.
-func TestSetMaxBindingsEquivalence(t *testing.T) {
-	const query = `CONSTRUCT (n) MATCH (n) ON social_graph`
-	run := func(eng *gcore.Engine) string {
-		if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
-			t.Fatal(err)
-		}
-		_, err := eng.Eval(query)
-		if err == nil {
-			t.Fatal("expected a budget error")
-		}
-		qe, ok := gcore.AsQueryError(err)
-		if !ok || qe.Kind != gcore.KindBudget {
-			t.Fatalf("expected KindBudget, got %v", err)
-		}
-		return err.Error()
-	}
-	old := gcore.NewEngine()
-	old.SetMaxBindings(2)
-	viaLimits := gcore.NewEngine(gcore.WithLimits(gcore.Limits{MaxBindings: 2}))
-	if a, b := run(old), run(viaLimits); a != b {
-		t.Fatalf("budget errors differ:\nSetMaxBindings: %s\nWithLimits:     %s", a, b)
-	}
-}
-
 // TestExplainAnalyzePaperQueries: EXPLAIN ANALYZE renders every paper
 // example's plan with actual row counts and an execution footer.
 func TestExplainAnalyzePaperQueries(t *testing.T) {
@@ -184,7 +159,7 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 				// A few tour queries reference views defined by other
 				// statements; EXPLAIN ANALYZE must fail exactly like a
 				// plain run, not invent a plan.
-				if plain := evalConfigured(t, tourEngine, query, false, 1); plain == "ERR: "+err.Error() {
+				if plain := evalAblated(t, tourEngine, query, core.Ablation{}, 1); plain == "ERR: "+err.Error() {
 					return
 				}
 				t.Fatal(err)

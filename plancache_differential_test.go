@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/parser"
 )
 
 // Differential tests between the plan-cached evaluation path (the
-// default) and the uncached fallback (core.DisablePlanCache): every
+// default) and the uncached fallback (WithPlanCacheSize(-1)): every
 // paper example and the SNB query set must render byte-identically
 // with the cache on and off, sequentially and in parallel, on both
 // the compile (first) and hit (second) execution. The plan cache is a
@@ -20,16 +19,22 @@ import (
 // returns both renders: the first exercises the compile path, the
 // second the cache-hit path (or, with the cache disabled, a second
 // full compile).
-func evalPlanCacheConfigured(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, disable bool, workers int) (string, string) {
+func evalPlanCacheConfigured(t *testing.T, setup engineSetup, query string, disable bool, workers int) (string, string) {
 	t.Helper()
-	core.DisablePlanCache = disable
-	defer func() { core.DisablePlanCache = false }()
-	eng := setup(t)
-	eng.SetParallelism(workers)
+	eng := setup(t, gcore.WithParallelism(workers), planCacheOff(disable))
 	res, err := eng.Eval(query)
 	first := renderResult(res, err)
 	res, err = eng.Eval(query)
 	return first, renderResult(res, err)
+}
+
+// planCacheOff disables the plan cache when off is set; otherwise it
+// keeps the default capacity.
+func planCacheOff(off bool) gcore.Option {
+	if off {
+		return gcore.WithPlanCacheSize(-1)
+	}
+	return gcore.WithPlanCacheSize(0)
 }
 
 func TestPlanCacheDifferentialPaper(t *testing.T) {
@@ -77,9 +82,7 @@ func TestPlanCacheDifferentialSNB(t *testing.T) {
 func TestPlanCacheDifferentialMutation(t *testing.T) {
 	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
 	runSeq := func(disable bool) []string {
-		core.DisablePlanCache = disable
-		defer func() { core.DisablePlanCache = false }()
-		eng := newEngine(t)
+		eng := newEngine(t, planCacheOff(disable))
 		var out []string
 		res, err := eng.Eval(q)
 		out = append(out, renderResult(res, err))

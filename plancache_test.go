@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 )
 
 // Engine-level plan cache tests: repeated statements hit, hits are
@@ -189,22 +188,18 @@ func TestPreparedMatchesInlined(t *testing.T) {
 	const tmpl = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = $emp ORDER BY name`
 	const inlined = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = ('Acme') ORDER BY name`
 	for _, disable := range []bool{false, true} {
-		core.DisablePlanCache = disable
-		func() {
-			defer func() { core.DisablePlanCache = false }()
-			eng := newEngine(t)
-			p, err := eng.Prepare(tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")})
-			got := renderResult(res, err)
-			res2, err2 := newEngine(t).Eval(inlined)
-			want := renderResult(res2, err2)
-			if got != want {
-				t.Fatalf("disable=%v: parameterised result diverged\nparam:\n%s\ninline:\n%s", disable, got, want)
-			}
-		}()
+		eng := newEngine(t, planCacheOff(disable))
+		p, err := eng.Prepare(tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")})
+		got := renderResult(res, err)
+		res2, err2 := newEngine(t, planCacheOff(disable)).Eval(inlined)
+		want := renderResult(res2, err2)
+		if got != want {
+			t.Fatalf("disable=%v: parameterised result diverged\nparam:\n%s\ninline:\n%s", disable, got, want)
+		}
 	}
 }
 

@@ -5,29 +5,17 @@ import (
 	"sort"
 	"testing"
 
-	"gcore"
 	"gcore/internal/core"
 	"gcore/internal/parser"
 )
 
 // Differential tests between the selectivity-driven MATCH planner
-// (the default) and the textual evaluation order (core.DisableReorder).
+// (the default) and the textual evaluation order (the TextualOrder
+// ablation).
 // Chain reversal and conjunct-join reordering restore the forward
 // emission order after evaluating in the cheaper direction, so every
 // query must render byte-identically with the planner on and off —
 // the planner is a pure performance optimisation.
-
-// evalPlanned runs one query on a fresh engine built by setup, with
-// the planner on or off and the given worker count.
-func evalPlanned(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, textual bool, workers int) string {
-	t.Helper()
-	core.DisableReorder = textual
-	defer func() { core.DisableReorder = false }()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	res, err := eng.Eval(query)
-	return renderResult(res, err)
-}
 
 // TestPlannerDifferentialPaper: every paper example query renders
 // byte-identically with and without the planner, sequentially and in
@@ -42,8 +30,8 @@ func TestPlannerDifferentialPaper(t *testing.T) {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalPlanned(t, tourEngine, query, true, workers)
-				got := evalPlanned(t, tourEngine, query, false, workers)
+				want := evalAblated(t, tourEngine, query, core.Ablation{TextualOrder: true}, workers)
+				got := evalAblated(t, tourEngine, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: planned result diverged from textual\nplanned:\n%s\ntextual:\n%s", workers, got, want)
 				}
@@ -73,8 +61,8 @@ MATCH (n:Person) OPTIONAL (n)-[:hasInterest]->(t:Tag), (c:City)`,
 	for i, query := range queries {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
-				want := evalPlanned(t, setup, query, true, workers)
-				got := evalPlanned(t, setup, query, false, workers)
+				want := evalAblated(t, setup, query, core.Ablation{TextualOrder: true}, workers)
+				got := evalAblated(t, setup, query, core.Ablation{}, workers)
 				if got != want {
 					t.Fatalf("workers=%d: planned result diverged from textual\nplanned:\n%s\ntextual:\n%s", workers, got, want)
 				}

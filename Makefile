@@ -55,8 +55,11 @@ benchcmp:
 # maintenance, concurrent reads, WAL append and group commit.
 BENCH_GUARD := BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit
 
+# bench.base.txt was recorded at GOMAXPROCS=1 and allocs/op depends
+# on the worker count (parallel chunking allocates per chunk), so the
+# guard runs at -cpu 1 whatever the host's core count.
 benchguard:
-	go test -bench='$(BENCH_GUARD)' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='$(BENCH_GUARD)' -benchmem -count=3 -cpu 1 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:

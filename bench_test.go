@@ -334,12 +334,11 @@ func BenchmarkParallelMatch(b *testing.B) {
 		workers int
 	}{{"sequential", 1}, {"parallel", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewEngine(gcore.WithParallelism(cfg.workers))
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
 			}
-			eng.SetParallelism(cfg.workers)
 			stmt, err := gcore.Parse(repro.MatchQueryAt(social))
 			if err != nil {
 				b.Fatal(err)
@@ -355,10 +354,8 @@ func BenchmarkParallelMatch(b *testing.B) {
 }
 
 // BenchmarkCSRShortest measures the k-shortest regular-path kernel
-// itself — multi-source <:knows*> product search over the SNB graph —
-// under the CSR snapshot and under the legacy map-based expansion.
-// The csr/legacy gap is what the snapshot layer buys in the search
-// inner loop, free of parse/bind/materialize overhead.
+// itself — multi-source <:knows*> product search over the SNB graph's
+// CSR snapshot — free of parse/bind/materialize overhead.
 func BenchmarkCSRShortest(b *testing.B) {
 	social, _ := gcore.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
 	nfa, err := rpq.Compile(&ast.Regex{Op: ast.RxStar, Subs: []*ast.Regex{{Op: ast.RxLabel, Label: "knows"}}})
@@ -371,32 +368,23 @@ func BenchmarkCSRShortest(b *testing.B) {
 	for i := 0; i < len(persons); i += 16 {
 		srcs = append(srcs, persons[i])
 	}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"csr", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var snap *csr.Snapshot
-			if !mode.legacy {
-				snap = csr.Of(social)
-			}
-			eng := rpq.NewEngine(social, snap, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, src := range srcs {
-					res, err := eng.ShortestPaths(src, nfa, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += len(res)
+	b.Run("csr", func(b *testing.B) {
+		eng := rpq.NewEngine(social, csr.Of(social), nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			total := 0
+			for _, src := range srcs {
+				res, err := eng.ShortestPaths(src, nfa, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if total == 0 {
-					b.Fatal("no paths found")
-				}
+				total += len(res)
 			}
-		})
-	}
+			if total == 0 {
+				b.Fatal("no paths found")
+			}
+		}
+	})
 }
 
 // BenchmarkCSRBuild measures constructing the CSR snapshot itself —

@@ -553,7 +553,7 @@ func TestIDAllocationInsideMutateGraph(t *testing.T) {
 
 // TestAblationIsolatedPerEngine: an engine's ablation belongs to that
 // engine alone. Two engines run concurrently in one process — one
-// under TextualOrder and MapKernels, one with the zero Ablation — and
+// under TextualOrder and MapProps, one with the zero Ablation — and
 // each EXPLAIN shows its own join order and scan direction while the
 // results of both stay byte-identical.
 func TestAblationIsolatedPerEngine(t *testing.T) {
@@ -565,7 +565,7 @@ MATCH (n:Person)-[:knows]->(m:Person), (m)-[:isLocatedIn]->(c:City) ORDER BY a, 
 		eng  *gcore.Engine
 		plan []string
 	}{
-		{setup(t, gcore.WithAblation(core.Ablation{TextualOrder: true, MapKernels: true})), []string{
+		{setup(t, gcore.WithAblation(core.Ablation{TextualOrder: true, MapProps: true})), []string{
 			"join order: pattern 1 [est 60] ⋈ pattern 2 [est 311]",
 			"start: left end, forward scan [est 311]",
 		}},

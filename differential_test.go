@@ -2,6 +2,8 @@ package gcore_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -11,12 +13,13 @@ import (
 	"gcore/internal/repro"
 )
 
-// Differential tests between the CSR evaluation path (the default)
-// and the legacy map-based path (the MapKernels ablation).
-// Every paper example and a set of SNB-toy queries must produce
-// byte-identical serialized results under both paths, sequentially
-// and in parallel — the CSR snapshot layer is a pure performance
-// optimisation with no observable behaviour of its own.
+// Golden and differential tests. Every paper example and a set of
+// SNB-toy queries must render byte-identically to the outputs the
+// retired map-based kernels produced, which are frozen under
+// testdata/legacy, sequentially and in parallel — the CSR snapshot
+// layer is a pure performance optimisation with no observable
+// behaviour of its own. The remaining ablations (property columns,
+// ...) are compared against their reference paths live.
 
 // renderResult serializes a query outcome deterministically: the
 // table rendering, the graph's canonical JSON, or the error text.
@@ -40,6 +43,17 @@ func renderResult(res *gcore.Result, err error) string {
 
 // engineSetup builds a fresh test engine configured by opts.
 type engineSetup func(t *testing.T, opts ...gcore.Option) *gcore.Engine
+
+// legacyGolden returns the frozen rendering testdata/legacy/dir/name
+// of the map-based kernels' output.
+func legacyGolden(t *testing.T, dir, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", dir, name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
 
 // evalAblated runs one query on a fresh engine built by setup, under
 // the given ablation and worker count.
@@ -66,12 +80,9 @@ func tourEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 func snbQueries() (engineSetup, []string) {
 	setup := func(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 		t.Helper()
-		eng := gcore.NewEngine(opts...)
+		eng := gcore.NewEngine(append([]gcore.Option{gcore.WithDefaultGraph("snb_60")}, opts...)...)
 		social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
 		if err := eng.RegisterGraph(social); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetDefaultGraph(social.Name()); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -94,8 +105,8 @@ ORDER BY a, b`,
 }
 
 // TestCSRDifferentialPaper: every paper example query renders
-// byte-identically with and without the CSR kernels, sequentially and
-// in parallel.
+// byte-identically to the map-based kernels' frozen output,
+// sequentially and in parallel.
 func TestCSRDifferentialPaper(t *testing.T) {
 	keys := make([]string, 0, len(parser.PaperQueries))
 	for k := range parser.PaperQueries {
@@ -105,11 +116,11 @@ func TestCSRDifferentialPaper(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
+			want := legacyGolden(t, "paper", key)
 			for _, workers := range []int{1, 0} {
-				want := evalAblated(t, tourEngine, query, core.Ablation{MapKernels: true}, workers)
 				got := evalAblated(t, tourEngine, query, core.Ablation{}, workers)
 				if got != want {
-					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
+					t.Fatalf("workers=%d: CSR result diverged from legacy golden\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
 				}
 			}
 		})
@@ -194,12 +205,13 @@ func TestPropColumnsDifferentialTour(t *testing.T) {
 func TestCSRDifferentialSNB(t *testing.T) {
 	setup, queries := snbQueries()
 	for i, query := range queries {
-		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
+		name := fmt.Sprintf("q%d", i)
+		t.Run(name, func(t *testing.T) {
+			want := legacyGolden(t, "snb", name)
 			for _, workers := range []int{1, 0} {
-				want := evalAblated(t, setup, query, core.Ablation{MapKernels: true}, workers)
 				got := evalAblated(t, setup, query, core.Ablation{}, workers)
 				if got != want {
-					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
+					t.Fatalf("workers=%d: CSR result diverged from legacy golden\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
 				}
 			}
 		})

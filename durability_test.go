@@ -35,8 +35,7 @@ import (
 type mutEngine interface {
 	RegisterGraph(*gcore.Graph) error
 	RegisterTable(*gcore.Table) error
-	SetDefaultGraph(string) error
-	SetParallelism(int)
+	SwitchDefaultGraph(string) error
 	Graph(string) (*gcore.Graph, bool)
 	GraphNames() []string
 	Eval(string) (*gcore.Result, error)
@@ -121,7 +120,7 @@ func durabilityScript() []scriptOp {
 			}
 			return e.RegisterTable(t)
 		}},
-		{"set_default", func(e mutEngine) error { return e.SetDefaultGraph("base") }},
+		{"set_default", func(e mutEngine) error { return e.SwitchDefaultGraph("base") }},
 		{"graph_view", func(e mutEngine) error {
 			_, err := e.Eval(`GRAPH VIEW people AS (CONSTRUCT (n) MATCH (n:Person) ON base)`)
 			return err
@@ -158,8 +157,9 @@ var stateQueries = []string{
 
 // renderState serialises everything observable: every registered
 // graph's canonical JSON plus every state query's rendered result.
-func renderState(e mutEngine, workers int) string {
-	e.SetParallelism(workers)
+// CONSTRUCT queries draw from the ID allocator, so the two sides of a
+// comparison are each rendered once, from the same starting state.
+func renderState(e mutEngine) string {
 	var sb strings.Builder
 	for _, name := range e.GraphNames() {
 		g, _ := e.Graph(name)
@@ -179,11 +179,12 @@ func renderState(e mutEngine, workers int) string {
 }
 
 // oracle applies the first n script operations to a fresh in-memory
-// engine. Operations whose target does not exist yet in that prefix
-// are impossible by construction (the script is linear).
-func oracle(t *testing.T, ops []scriptOp, n int) *gcore.Engine {
+// engine evaluating with the given worker count. Operations whose
+// target does not exist yet in that prefix are impossible by
+// construction (the script is linear).
+func oracle(t *testing.T, ops []scriptOp, n, workers int) *gcore.Engine {
 	t.Helper()
-	e := gcore.NewEngine()
+	e := gcore.NewEngine(gcore.WithParallelism(workers))
 	for _, op := range ops[:n] {
 		if err := op.apply(e); err != nil {
 			t.Fatalf("oracle op %s: %v", op.name, err)
@@ -238,6 +239,12 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
+// openWorkers opens (recovering) the durable engine in dir, evaluating
+// with the given worker count.
+func openWorkers(dir string, workers int, opts ...gcore.DurOption) (*gcore.DurableEngine, error) {
+	return gcore.OpenDurable(dir, append([]gcore.DurOption{gcore.WithEngineOptions(gcore.WithParallelism(workers))}, opts...)...)
+}
+
 // runScript runs ops[from:to] against a durable engine.
 func runScript(t *testing.T, d *gcore.DurableEngine, ops []scriptOp, from, to int) {
 	t.Helper()
@@ -278,8 +285,10 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 	// Expected renderings per surviving-prefix length, computed once.
 	wantByPrefix := make(map[int]map[int]string, len(ops)+1)
 	for k := 0; k <= len(ops); k++ {
-		o := oracle(t, ops, k)
-		wantByPrefix[k] = map[int]string{1: renderState(o, 1), 0: renderState(o, 0)}
+		wantByPrefix[k] = map[int]string{
+			1: renderState(oracle(t, ops, k, 1)),
+			0: renderState(oracle(t, ops, k, 0)),
+		}
 	}
 	for cut := int64(0); cut <= int64(len(data)); cut++ {
 		k := 0
@@ -292,18 +301,18 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := gcore.OpenDurable(cutDir)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
 		for _, workers := range []int{1, 0} {
-			if got, want := renderState(rec, workers), wantByPrefix[k][workers]; got != want {
-				rec.Close()
+			rec, err := openWorkers(cutDir, workers)
+			if err != nil {
+				t.Fatalf("cut %d: recovery failed: %v", cut, err)
+			}
+			got := renderState(rec)
+			rec.Close()
+			if want := wantByPrefix[k][workers]; got != want {
 				t.Fatalf("cut at byte %d (%d records survive), workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s",
 					cut, k, workers, got, want)
 			}
 		}
-		rec.Close()
 	}
 }
 
@@ -374,12 +383,12 @@ func TestDurabilityCrashAfterCheckpoint(t *testing.T) {
 		if err := os.Truncate(segPath(cutDir, wm.Seg), cut); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := gcore.OpenDurable(cutDir)
+		rec, err := openWorkers(cutDir, 1)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		want := renderState(oracle(t, ops, k), 1)
-		if got := renderState(rec, 1); got != want {
+		want := renderState(oracle(t, ops, k, 1))
+		if got := renderState(rec); got != want {
 			rec.Close()
 			t.Fatalf("cut at byte %d (%d ops survive): recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", cut, k, got, want)
 		}
@@ -431,7 +440,7 @@ func TestDurabilityFaultSites(t *testing.T) {
 // and the recovered state equal the oracle of the successful ops.
 func faultSiteScenario(t *testing.T, dir, site string, boom error, extra []gcore.DurOption) {
 	ops := durabilityScript()
-	d, err := gcore.OpenDurable(dir, extra...)
+	d, err := openWorkers(dir, 1, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,23 +461,21 @@ func faultSiteScenario(t *testing.T, dir, site string, boom error, extra []gcore
 
 	// The rejected mutation left no trace; the rest of the script runs.
 	runScript(t, d, ops, mid, len(ops))
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(d, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops), 1))
+	if got := renderState(d); got != want {
 		t.Fatalf("live state after cleared fault diverged\n--- live:\n%s\n--- want:\n%s", got, want)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := gcore.OpenDurable(dir, extra...)
-	if err != nil {
-		t.Fatalf("recovery after fault run: %v", err)
-	}
-	defer rec.Close()
-	// One oracle rendered in the same sequence as rec: CONSTRUCT
-	// queries draw from the ID allocator, so render order matters.
-	o := oracle(t, ops, len(ops))
 	for _, workers := range []int{1, 0} {
-		if got, want := renderState(rec, workers), renderState(o, workers); got != want {
+		rec, err := openWorkers(dir, workers, extra...)
+		if err != nil {
+			t.Fatalf("recovery after fault run: %v", err)
+		}
+		got := renderState(rec)
+		rec.Close()
+		if want := renderState(oracle(t, ops, len(ops), workers)); got != want {
 			t.Fatalf("recovered state diverged (workers=%d)\n--- recovered:\n%s\n--- want:\n%s", workers, got, want)
 		}
 	}
@@ -505,13 +512,13 @@ func checkpointFaultScenario(t *testing.T, dir, site string, boom error) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := gcore.OpenDurable(dir)
+	rec, err := openWorkers(dir, 1)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer rec.Close()
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops), 1))
+	if got := renderState(rec); got != want {
 		t.Fatalf("recovered state diverged after checkpoint fault\n--- recovered:\n%s\n--- want:\n%s", got, want)
 	}
 }
@@ -551,18 +558,17 @@ func TestDurabilityPropertyRandom(t *testing.T) {
 				if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				rec, err := gcore.OpenDurable(cutDir)
-				if err != nil {
-					t.Fatalf("prefix %d: recovery failed: %v", k, err)
-				}
-				o := oracle(t, ops, k)
 				for _, workers := range []int{1, 0} {
-					if got, want := renderState(rec, workers), renderState(o, workers); got != want {
-						rec.Close()
+					rec, err := openWorkers(cutDir, workers)
+					if err != nil {
+						t.Fatalf("prefix %d: recovery failed: %v", k, err)
+					}
+					got := renderState(rec)
+					rec.Close()
+					if want := renderState(oracle(t, ops, k, workers)); got != want {
 						t.Fatalf("prefix %d, workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", k, workers, got, want)
 					}
 				}
-				rec.Close()
 			}
 		})
 	}
@@ -649,84 +655,78 @@ func TestDurabilityDifferentialPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if err := d.LoadCatalog(exportDir); err != nil {
 		t.Fatal(err)
 	}
-	// Crash image: SyncAlways means the directory is committed as-is;
-	// copy it out from under the live engine and recover the copy.
-	crashDir := t.TempDir()
-	copyTree(t, dir, crashDir)
-	rec, err := gcore.OpenDurable(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	defer d.Close()
-
 	keys := make([]string, 0, len(parser.PaperQueries))
 	for k := range parser.PaperQueries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, key := range keys {
-		query := parser.PaperQueries[key]
-		for _, workers := range []int{1, 0} {
-			src.SetParallelism(workers)
-			rec.SetParallelism(workers)
-			want := renderResult(src.Eval(query))
+	for _, workers := range []int{1, 0} {
+		live, err := repro.NewEngine(gcore.WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Crash image: SyncAlways means the directory is committed
+		// as-is; copy it out from under the live engine and recover
+		// the copy. Each worker count gets its own copy, as GRAPH VIEW
+		// statements register graphs durably.
+		crashDir := t.TempDir()
+		copyTree(t, dir, crashDir)
+		rec, err := openWorkers(crashDir, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			query := parser.PaperQueries[key]
+			want := renderResult(live.Eval(query))
 			got := renderResult(rec.Eval(query))
 			if got != want {
+				rec.Close()
 				t.Fatalf("%s (workers=%d): recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", key, workers, got, want)
 			}
 		}
+		rec.Close()
 	}
 }
 
 // TestDurabilityDifferentialSNB: the SNB toy graph registered
 // durably, crashed and recovered — the differential query suite
-// renders byte-identically.
+// renders byte-identically. The durable engine names its default
+// graph before registering it, so the log carries the promotion as a
+// set_default record.
 func TestDurabilityDifferentialSNB(t *testing.T) {
-	_, queries := snbQueries()
-	live := gcore.NewEngine()
-	social, _ := live.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-	if err := live.RegisterGraph(social); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.SetDefaultGraph(social.Name()); err != nil {
-		t.Fatal(err)
-	}
-
+	setup, queries := snbQueries()
 	dir := t.TempDir()
-	d, err := gcore.OpenDurable(dir)
+	d, err := gcore.OpenDurable(dir, gcore.WithEngineOptions(gcore.WithDefaultGraph("snb_60")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dupe := gcore.NewEngine()
-	social2, _ := dupe.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-	if err := d.RegisterGraph(social2); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetDefaultGraph(social2.Name()); err != nil {
+	social, _ := dupe.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
+	if err := d.RegisterGraph(social); err != nil {
 		t.Fatal(err)
 	}
 	crashDir := t.TempDir()
 	copyTree(t, dir, crashDir)
 	d.Close()
-	rec, err := gcore.OpenDurable(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	for i, query := range queries {
-		for _, workers := range []int{1, 0} {
-			live.SetParallelism(workers)
-			rec.SetParallelism(workers)
+	for _, workers := range []int{1, 0} {
+		live := setup(t, gcore.WithParallelism(workers))
+		rec, err := openWorkers(crashDir, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, query := range queries {
 			want := renderResult(live.Eval(query))
 			got := renderResult(rec.Eval(query))
 			if got != want {
+				rec.Close()
 				t.Fatalf("q%d (workers=%d): recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", i, workers, got, want)
 			}
 		}
+		rec.Close()
 	}
 }
 
@@ -779,13 +779,13 @@ func TestDurabilitySyncPolicies(t *testing.T) {
 			if err := d.Close(); err != nil { // Close commits the tail under every policy
 				t.Fatal(err)
 			}
-			rec, err := gcore.OpenDurable(dir)
+			rec, err := openWorkers(dir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rec.Close()
-			want := renderState(oracle(t, ops, len(ops)), 1)
-			if got := renderState(rec, 1); got != want {
+			want := renderState(oracle(t, ops, len(ops), 1))
+			if got := renderState(rec); got != want {
 				t.Fatalf("policy %v: recovered state diverged\n%s", pol, got)
 			}
 		})
@@ -808,13 +808,13 @@ func TestDurabilityAutoCheckpoint(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := gcore.OpenDurable(dir)
+	rec, err := openWorkers(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops), 1))
+	if got := renderState(rec); got != want {
 		t.Fatalf("recovered state diverged under auto-checkpointing\n%s", got)
 	}
 	if rec.Metrics().WALCheckpoints != 0 {
@@ -881,8 +881,8 @@ func TestDurabilityTornTailMetric(t *testing.T) {
 	if m := rec.Metrics(); m.WALTornTruncated != 1 {
 		t.Fatalf("WALTornTruncated = %d, want 1", m.WALTornTruncated)
 	}
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops), 1))
+	if got := renderState(rec); got != want {
 		t.Fatalf("state diverged after torn-tail truncation\n%s", got)
 	}
 }

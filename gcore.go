@@ -144,7 +144,7 @@ type (
 	// ErrorKind classifies a QueryError.
 	ErrorKind = gov.Kind
 	// Limits bounds one statement's resource consumption; the zero
-	// value means ungoverned. See Engine.SetLimits.
+	// value means ungoverned. See WithLimits and Session.SetLimits.
 	Limits = gov.Limits
 )
 
@@ -274,8 +274,14 @@ func WithParallelism(n int) Option {
 	return func(e *Engine) { e.cfg.Workers = n }
 }
 
-// WithLimits installs per-statement resource limits (see Limits); a
-// zero field means unlimited for that resource.
+// WithLimits installs per-statement resource limits: intermediate
+// binding rows (MaxBindings), explored path-search product states
+// (MaxPathFrontier), constructed result elements (MaxResultElements)
+// and wall-clock time (Timeout). A zero field means unlimited for that
+// resource. Exceeding a limit fails the statement with a *QueryError
+// of KindBudget (KindTimeout for the deadline) naming the limit and
+// the progress when it tripped; the engine and its graphs are
+// untouched. Session.SetLimits overrides the limits per caller.
 func WithLimits(l Limits) Option {
 	return func(e *Engine) { e.cfg.Limits = l }
 }

@@ -2,6 +2,7 @@ package gcore_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -282,9 +283,10 @@ func TestMaxBindingsBudget(t *testing.T) {
 	if err != nil || res.Graph.NumNodes() != 5 {
 		t.Fatalf("normal query under budget: %v, %v", res, err)
 	}
-	// Unlimited again.
-	eng.SetLimits(gcore.Limits{})
-	if _, err := eng.Eval(`CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
+	// Unlimited again, for a session that lifts the engine budget.
+	sess := eng.NewSession()
+	sess.SetLimits(gcore.Limits{})
+	if _, err := sess.EvalContext(context.Background(), `CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
 		t.Fatalf("unlimited: %v", err)
 	}
 }

@@ -3,13 +3,13 @@ package gcore_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/faultinject"
 	"gcore/internal/parser"
 )
@@ -91,8 +91,7 @@ func TestEvalContextCanceledBeforeStart(t *testing.T) {
 // goroutine exits.
 func TestEvalContextCancelMidFlight(t *testing.T) {
 	setup, _ := snbQueries()
-	eng := setup(t)
-	eng.SetParallelism(4)
+	eng := setup(t, gcore.WithParallelism(4))
 	gens := graphGenerations(eng)
 	before := runtime.NumGoroutine()
 
@@ -116,10 +115,7 @@ func TestEvalContextCancelMidFlight(t *testing.T) {
 
 func TestEvalTimeout(t *testing.T) {
 	setup, _ := snbQueries()
-	eng := setup(t)
-	limits := eng.Limits()
-	limits.Timeout = time.Nanosecond
-	eng.SetLimits(limits)
+	eng := setup(t, gcore.WithLimits(gcore.Limits{Timeout: time.Nanosecond}))
 	_, err := eng.Eval(snbAllQuery)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindTimeout {
@@ -135,24 +131,20 @@ func TestEvalTimeout(t *testing.T) {
 
 func TestMaxPathFrontierBudget(t *testing.T) {
 	setup, _ := snbQueries()
-	for _, legacy := range []bool{false, true} {
-		eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: legacy}),
-			gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
-		_, err := eng.Eval(snbAllQuery)
-		qe, ok := gcore.AsQueryError(err)
-		if !ok || qe.Kind != gcore.KindBudget {
-			t.Fatalf("legacy=%v: err = %v, want KindBudget QueryError", legacy, err)
-		}
-		if !strings.Contains(err.Error(), "frontier limit") {
-			t.Errorf("legacy=%v: budget error does not name the frontier limit: %v", legacy, err)
-		}
+	eng := setup(t, gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
+	_, err := eng.Eval(snbAllQuery)
+	qe, ok := gcore.AsQueryError(err)
+	if !ok || qe.Kind != gcore.KindBudget {
+		t.Fatalf("err = %v, want KindBudget QueryError", err)
+	}
+	if !strings.Contains(err.Error(), "frontier limit") {
+		t.Errorf("budget error does not name the frontier limit: %v", err)
 	}
 }
 
 func TestMaxResultElementsBudget(t *testing.T) {
 	setup, _ := snbQueries()
-	eng := setup(t)
-	eng.SetLimits(gcore.Limits{MaxResultElements: 5})
+	eng := setup(t, gcore.WithLimits(gcore.Limits{MaxResultElements: 5}))
 	_, err := eng.Eval(`CONSTRUCT (n) MATCH (n:Person)`)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -232,33 +224,28 @@ func TestFailedViewNotRegistered(t *testing.T) {
 }
 
 // TestFaultInjectionAllSites drives every declared probe site with a
-// panic, an injected error and a mid-checkpoint cancellation, with
-// engines under the MapKernels ablation where needed so both the
-// legacy and the CSR kernels are reached. The scenario table is checked against AllSites so a new
-// checkpoint cannot be added without fault coverage.
+// panic, an injected error and a mid-checkpoint cancellation. The
+// scenario table is checked against AllSites so a new checkpoint
+// cannot be added without fault coverage.
 func TestFaultInjectionAllSites(t *testing.T) {
 	setup, _ := snbQueries()
 	type scenario struct {
-		legacy  bool
 		workers int
 		query   string
 	}
 	scenarios := map[string]scenario{
-		faultinject.SiteEvalStart:     {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreScan:      {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreExtend:    {false, 1, `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`},
-		faultinject.SiteCoreFilter:    {false, 1, `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`},
-		faultinject.SiteCorePath:      {false, 1, snbShortestQuery},
-		faultinject.SiteCoreConstruct: {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteEvalStart:     {1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteCoreScan:      {1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteCoreExtend:    {1, `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`},
+		faultinject.SiteCoreFilter:    {1, `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`},
+		faultinject.SiteCorePath:      {1, snbShortestQuery},
+		faultinject.SiteCoreConstruct: {1, `CONSTRUCT (n) MATCH (n:Person)`},
 		// par.chunk needs a parallel-eligible fan-out: >1 worker and at
 		// least 64 rows (the sequential fast path has no chunk probe).
-		faultinject.SiteParChunk:       {false, 4, `CONSTRUCT (n) MATCH (n)`},
-		faultinject.SiteRPQShortest:    {true, 1, snbShortestQuery},
-		faultinject.SiteRPQReach:       {true, 1, snbReachQuery},
-		faultinject.SiteRPQAll:         {true, 1, snbAllQuery},
-		faultinject.SiteRPQCSRShortest: {false, 1, snbShortestQuery},
-		faultinject.SiteRPQCSRReach:    {false, 1, snbReachQuery},
-		faultinject.SiteRPQCSRAll:      {false, 1, snbAllQuery},
+		faultinject.SiteParChunk:       {4, `CONSTRUCT (n) MATCH (n)`},
+		faultinject.SiteRPQCSRShortest: {1, snbShortestQuery},
+		faultinject.SiteRPQCSRReach:    {1, snbReachQuery},
+		faultinject.SiteRPQCSRAll:      {1, snbAllQuery},
 	}
 	for _, site := range faultinject.AllSites() {
 		if _, ok := scenarios[site]; !ok {
@@ -271,8 +258,7 @@ func TestFaultInjectionAllSites(t *testing.T) {
 		sc := scenarios[site]
 		for _, mode := range []string{"panic", "error", "cancel"} {
 			t.Run(site+"/"+mode, func(t *testing.T) {
-				eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: sc.legacy}),
-					gcore.WithParallelism(sc.workers))
+				eng := setup(t, gcore.WithParallelism(sc.workers))
 				gens := graphGenerations(eng)
 				before := runtime.NumGoroutine()
 
@@ -369,8 +355,7 @@ func TestDifferentialGenerousLimits(t *testing.T) {
 		plain := setup(t)
 		want := renderResult(plain.Eval(query))
 
-		governed := setup(t)
-		governed.SetLimits(generous)
+		governed := setup(t, gcore.WithLimits(generous))
 		got := renderResult(governed.Eval(query))
 		if got != want {
 			t.Errorf("query %d: governed result diverged from ungoverned\ngoverned:\n%s\nungoverned:\n%s", i, got, want)
@@ -378,19 +363,12 @@ func TestDifferentialGenerousLimits(t *testing.T) {
 	}
 }
 
-// evalWithLimits renders one query under the given kernel/limits
-// configuration, for budget-parity comparisons.
-func evalWithLimits(t *testing.T, setup engineSetup, query string, legacy bool, workers int, limits gcore.Limits) string {
-	t.Helper()
-	eng := setup(t, gcore.WithAblation(core.Ablation{MapKernels: legacy}),
-		gcore.WithParallelism(workers), gcore.WithLimits(limits))
-	return renderResult(eng.Eval(query))
-}
-
-// TestBindingsBudgetParityCSRLegacy: the CSR and legacy scan/extend
-// kernels trip the bindings budget at the same logical point — the
-// rendered error (including the reached row count) is identical under
-// both kernels, sequentially and in parallel.
+// TestBindingsBudgetParityCSRLegacy: the scan/extend kernels trip the
+// bindings budget at the same logical point as the retired map-based
+// kernels — the rendered error, including the reached row count, is
+// byte-identical to their frozen output at 1 and at 4 workers. The
+// reached count depends on the chunking, hence one golden per worker
+// count.
 func TestBindingsBudgetParityCSRLegacy(t *testing.T) {
 	setup, _ := snbQueries()
 	cases := []struct {
@@ -406,15 +384,14 @@ func TestBindingsBudgetParityCSRLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			limits := gcore.Limits{MaxBindings: tc.limit}
-			for _, workers := range []int{1, 0} {
-				want := evalWithLimits(t, setup, tc.query, true, workers, limits)
-				got := evalWithLimits(t, setup, tc.query, false, workers, limits)
+			for _, workers := range []int{1, 4} {
+				want := legacyGolden(t, "budget", fmt.Sprintf("%s.w%d", tc.name, workers))
 				if !strings.Contains(want, "binding limit") {
-					t.Fatalf("workers=%d: legacy run did not trip the budget: %s", workers, want)
+					t.Fatalf("workers=%d: golden does not trip the budget: %s", workers, want)
 				}
-				if got != want {
-					t.Fatalf("workers=%d: CSR budget error diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
+				eng := setup(t, gcore.WithParallelism(workers), gcore.WithLimits(gcore.Limits{MaxBindings: tc.limit}))
+				if got := renderResult(eng.Eval(tc.query)); got != want {
+					t.Fatalf("workers=%d: budget error diverged from legacy golden\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
 				}
 			}
 		})

@@ -148,12 +148,9 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 // social graph for direct mutation.
 func mutableSNB(t *testing.T, opts ...gcore.Option) (*gcore.Engine, *gcore.Graph) {
 	t.Helper()
-	eng := gcore.NewEngine(opts...)
+	eng := gcore.NewEngine(append([]gcore.Option{gcore.WithDefaultGraph("snb_60")}, opts...)...)
 	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
 	if err := eng.RegisterGraph(social); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetDefaultGraph(social.Name()); err != nil {
 		t.Fatal(err)
 	}
 	g, ok := eng.Graph(social.Name())

@@ -44,9 +44,6 @@ import (
 // engines with different ablations coexist in one process and no
 // plan-cache key has to record it.
 type Ablation struct {
-	// MapKernels evaluates patterns and path searches over the mutable
-	// ppg maps instead of the CSR snapshot kernels.
-	MapKernels bool
 	// FullRebuild runs the full csr.Build on every generation change
 	// instead of applying the recorded delta to the previous snapshot.
 	FullRebuild bool
@@ -63,14 +60,14 @@ type Ablation struct {
 }
 
 // columns reports whether filters may read the snapshot's property
-// columns: both the snapshot and its columns must be in use.
-func (a Ablation) columns() bool { return !a.MapKernels && !a.MapProps }
+// columns.
+func (a Ablation) columns() bool { return !a.MapProps }
 
 // Config is an evaluator's construction-time configuration; the zero
 // value is the default evaluator.
 type Config struct {
-	Workers       int        // see SetParallelism
-	Limits        gov.Limits // see SetLimits
+	Workers       int        // intra-query workers; 0 = GOMAXPROCS, 1 = sequential
+	Limits        gov.Limits // per-statement budget; zero fields = ungoverned
 	Trace         obs.TraceHandler
 	Collector     *obs.Collector
 	PlanCacheSize int // see SetPlanCacheCapacity
@@ -80,7 +77,7 @@ type Config struct {
 // Evaluator evaluates statements against a catalog.
 type Evaluator struct {
 	cat     *catalog.Catalog
-	abl     Ablation   // immutable after New
+	abl     Ablation   // the three fields are immutable after New
 	limits  gov.Limits // zero fields = ungoverned
 	workers int        // 0 = GOMAXPROCS, 1 = sequential
 
@@ -129,18 +126,7 @@ func New(cat *catalog.Catalog, cfg Config) *Evaluator {
 // Catalog returns the evaluator's catalog.
 func (ev *Evaluator) Catalog() *catalog.Catalog { return ev.cat }
 
-// SetParallelism sets the worker count for intra-query parallelism
-// (node scans, edge expansion, per-source path searches). Zero (the
-// default) means runtime.GOMAXPROCS; one forces fully sequential
-// evaluation. Parallel evaluation merges partition results in input
-// order, so the produced binding tables — and therefore all query
-// results — are identical for every setting.
-func (ev *Evaluator) SetParallelism(n int) { ev.workers = n }
-
-// SetLimits installs the per-statement resource budget.
-func (ev *Evaluator) SetLimits(l gov.Limits) { ev.limits = l }
-
-// Limits returns the current per-statement resource budget.
+// Limits returns the per-statement resource budget.
 func (ev *Evaluator) Limits() gov.Limits { return ev.limits }
 
 // SetTraceHandler installs the span hook invoked at every operator

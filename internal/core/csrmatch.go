@@ -14,21 +14,18 @@ import (
 // CSR pattern kernels. scanNodes, extendEdge and the pushdown label
 // fast path run over the graph's CSR snapshot: dense node/edge
 // ordinals, flat adjacency arrays and interned integer labels replace
-// the map probes and string comparisons of the ppg layout. Candidate
-// order, edge iteration order and every accept/reject decision mirror
-// the legacy code exactly, so the binding tables are identical row
-// for row; the differential tests at the repository root enforce
-// this against the MapKernels ablation.
+// the map probes and string comparisons of the ppg layout. Candidates
+// ascend by node identifier and edges by edge identifier, so binding
+// tables come out in a deterministic row order; the golden tests at
+// the repository root hold them to the outputs of the map-based
+// kernels these replaced.
 
 // snapshot returns the graph's snapshot under the evaluator's
-// ablation: nil with map kernels, a full rebuild on every generation
-// change under FullRebuild. The snapshot is cached per generation
-// inside the graph, so repeated calls during one evaluation are cheap.
+// ablation: a full rebuild on every generation change under
+// FullRebuild. The snapshot is cached per generation inside the
+// graph, so repeated calls during one evaluation are cheap.
 // Acquisitions through here are not counted; see snapOf.
 func (ev *Evaluator) snapshot(g *ppg.Graph) *csr.Snapshot {
-	if ev.abl.MapKernels {
-		return nil
-	}
 	snap, _ := csr.OfCounted(g, ev.abl.FullRebuild)
 	return snap
 }
@@ -36,9 +33,6 @@ func (ev *Evaluator) snapshot(g *ppg.Graph) *csr.Snapshot {
 // snapOf is Evaluator.snapshot recorded in the statement's snapshot
 // counters (reuses, full builds, delta applies).
 func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
-	if c.ev.abl.MapKernels {
-		return nil
-	}
 	snap, info := csr.OfCounted(g, c.ev.abl.FullRebuild)
 	c.col.CSREvent(info.Kind == csr.BuildReused)
 	if info.Kind != csr.BuildReused {
@@ -50,8 +44,8 @@ func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
 
 // resolvedSpec is a label spec with every name interned against one
 // snapshot. Labels absent from the snapshot resolve to csr.NoLabel,
-// which no element can carry — exactly the legacy "no node has this
-// label" outcome.
+// which no element can carry, so a pattern naming one matches
+// nothing.
 type resolvedSpec [][]int32
 
 func resolveSpec(snap *csr.Snapshot, spec ast.LabelSpec) resolvedSpec {
@@ -98,9 +92,12 @@ func (rs resolvedSpec) matchesEdge(snap *csr.Snapshot, e int32) bool {
 	return true
 }
 
-// indexedNodeOrdinals is indexedNodeCandidates over the snapshot's
-// per-label partitions: the most selective conjunct yields the sorted
-// candidate ordinals.
+// indexedNodeOrdinals consults the snapshot's per-label partitions
+// for a node pattern: the most selective conjunct of the label spec
+// yields the candidate ordinals (the sorted union of its disjuncts'
+// partitions), which are exactly the nodes satisfying that conjunct.
+// The remaining conjuncts and property filters are checked per
+// candidate. ok is false when the spec has no conjunct to index on.
 func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 	if len(rs) == 0 {
 		return nil, false
@@ -134,13 +131,19 @@ func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 	return out, true
 }
 
-// scanNodesCSR is the snapshot form of scanNodes: candidates come
-// from the ordinal partitions (or the full ordinal range), label
-// conjuncts are integer tests, compilable WHERE conjuncts run as
-// columnar predicates on the candidate ordinals before any row
-// exists, and only the remaining property checks touch the live ppg
-// structs.
-func (c *evalCtx) scanNodesCSR(snap *csr.Snapshot, g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
+// scanNodes produces the binding table of a single node pattern.
+// Candidates come from the snapshot's ordinal partitions when the
+// pattern names a label (or the full ordinal range otherwise), label
+// conjuncts are integer tests, WHERE conjuncts compilable against the
+// property columns run as predicates on the candidate ordinals before
+// any row exists (scanPrefilter), and only the remaining property
+// checks touch the live ppg structs. Candidate chunks are matched
+// concurrently and merged in input order.
+func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
+	if np.Copy {
+		return nil, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
+	}
+	snap := c.snapOf(g)
 	vars := []string{varName}
 	for _, ps := range np.Props {
 		if ps.Mode == ast.PropBind {
@@ -206,11 +209,16 @@ func (c *evalCtx) scanNodesCSR(snap *csr.Snapshot, g *ppg.Graph, np *ast.NodePat
 	return c.mergeSlabs(tbl, parts)
 }
 
-// extendEdgeCSR is the snapshot form of extendEdge: adjacency walks
-// the flat CSR arrays and the label tests are integer comparisons, in
-// the same deterministic order (out ascending, then in ascending,
-// self-loops emitted once under DirBoth).
-func (c *evalCtx) extendEdgeCSR(snap *csr.Snapshot, g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
+// extendEdge extends every row of tbl over one edge pattern to the
+// next node pattern. Adjacency walks the flat CSR arrays and the label
+// tests are integer comparisons, in deterministic order (out-edges
+// ascending, then in-edges ascending, self-loops emitted once under
+// DirBoth).
+func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
+	if ep.Copy {
+		return nil, errf("the copy form [=%s] is only allowed in CONSTRUCT", ep.Var)
+	}
+	snap := c.snapOf(g)
 	vars := append(tbl.Vars(), edgeVar, rightVar)
 	for _, ps := range ep.Props {
 		if ps.Mode == ast.PropBind {

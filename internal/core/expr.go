@@ -42,8 +42,7 @@ type env struct {
 
 	// Cached CSR snapshot of graphs[0] for columnar property reads
 	// (lookupProp); resolved lazily on the first property access.
-	colSnap    *csr.Snapshot
-	colSnapSet bool
+	colSnap *csr.Snapshot
 }
 
 func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph) *env {
@@ -137,23 +136,21 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 // to the walk.
 func (e *env) lookupProp(ref value.Value, key string) value.Value {
 	if !e.c.ev.abl.MapProps && e.constructed == nil && len(e.graphs) > 0 {
-		if !e.colSnapSet {
-			e.colSnapSet = true
+		if e.colSnap == nil {
 			// Not snapOf: the cache counters must stay
 			// parallelism-invariant, and environments are per-chunk.
 			e.colSnap = e.c.ev.snapshot(e.graphs[0])
 		}
-		if snap := e.colSnap; snap != nil {
-			if id, ok := ref.RefID(); ok {
-				switch ref.Kind() {
-				case value.KindNode:
-					if u, ok := snap.Ord(ppg.NodeID(id)); ok {
-						return snap.NodeProp(u, key)
-					}
-				case value.KindEdge:
-					if ed, ok := snap.EdgeOrd(ppg.EdgeID(id)); ok {
-						return snap.EdgeProp(ed, key)
-					}
+		snap := e.colSnap
+		if id, ok := ref.RefID(); ok {
+			switch ref.Kind() {
+			case value.KindNode:
+				if u, ok := snap.Ord(ppg.NodeID(id)); ok {
+					return snap.NodeProp(u, key)
+				}
+			case value.KindEdge:
+				if ed, ok := snap.EdgeOrd(ppg.EdgeID(id)); ok {
+					return snap.EdgeProp(ed, key)
 				}
 			}
 		}

@@ -2,11 +2,9 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
-	"gcore/internal/faultinject"
 	"gcore/internal/obs"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
@@ -18,25 +16,10 @@ import (
 // non-blocking context poll stays invisible in profiles.
 const checkStride = 256
 
-// mergeBudget folds chunk outputs into a table in input order,
-// enforcing the bindings budget after each chunk so an overflowing
-// materialisation aborts early — at the same logical point on the
-// legacy and CSR paths (the chunks are identical row for row).
-func (c *evalCtx) mergeBudget(tbl *bindings.Table, parts [][]bindings.Binding) (*bindings.Table, error) {
-	for _, part := range parts {
-		for _, row := range part {
-			tbl.Add(row)
-		}
-		if err := c.checkBudget(tbl); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
-}
-
-// mergeSlabs is mergeBudget for dense row slabs: each chunk's slab is
-// a block copy into the table, with the budget enforced at the same
-// per-chunk boundary.
+// mergeSlabs folds chunk outputs into a table in input order: each
+// chunk's slab is a block copy into the table, with the bindings
+// budget enforced after each chunk so an overflowing materialisation
+// aborts early.
 func (c *evalCtx) mergeSlabs(tbl *bindings.Table, parts [][]value.Value) (*bindings.Table, error) {
 	for _, part := range parts {
 		tbl.AppendSlab(part)
@@ -458,7 +441,7 @@ type propCombo struct {
 
 // appendCombos appends one dense row per combination of combo values
 // to dst, expanding depth-first in spec order (later specs vary
-// fastest) — the same emission order as the legacy bindProps breadth
+// fastest) — the same emission order as the bindProps breadth
 // expansion. A pre-bound slot survives only when its value is a
 // member of the spec's (deduplicated) value set; an empty value set
 // drops the row (§3: an element without the property drops out).
@@ -528,201 +511,6 @@ func specsParallelSafe(specs []*ast.PropSpec) bool {
 		}
 	}
 	return true
-}
-
-// indexedNodeCandidates consults the graph's label index for a node
-// pattern: the most selective conjunct of the label spec yields the
-// candidate set (the sorted union of its disjuncts' buckets), which
-// is exactly the set of nodes satisfying that conjunct. The remaining
-// conjuncts and property filters are checked per candidate. ok is
-// false when the spec has no conjunct to index on.
-func indexedNodeCandidates(g *ppg.Graph, spec ast.LabelSpec) ([]ppg.NodeID, bool) {
-	if len(spec) == 0 {
-		return nil, false
-	}
-	best := -1
-	bestSize := 0
-	for i, disj := range spec {
-		size := 0
-		for _, l := range disj {
-			size += len(g.NodesWithLabel(l))
-		}
-		if best == -1 || size < bestSize {
-			best, bestSize = i, size
-		}
-	}
-	disj := spec[best]
-	if len(disj) == 1 {
-		return g.NodesWithLabel(disj[0]), true
-	}
-	// Union of the disjuncts' sorted buckets, ascending, deduplicated.
-	set := map[ppg.NodeID]bool{}
-	for _, l := range disj {
-		for _, id := range g.NodesWithLabel(l) {
-			set[id] = true
-		}
-	}
-	out := make([]ppg.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
-}
-
-// scanNodes produces the binding table of a single node pattern,
-// consulting the graph's label index instead of scanning all nodes
-// whenever the pattern names a label. Candidate chunks are matched
-// concurrently and merged in input order. On the CSR path, WHERE
-// conjuncts compilable against the property columns are applied to
-// candidate ordinals before any row is materialised (scanPrefilter);
-// the legacy path ignores conjs and leaves every conjunct to
-// applyReady, producing the identical table.
-func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
-	if np.Copy {
-		return nil, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
-	}
-	if snap := c.snapOf(g); snap != nil {
-		return c.scanNodesCSR(snap, g, np, varName, conjs)
-	}
-	vars := []string{varName}
-	for _, ps := range np.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	tbl := bindings.EmptyTable(vars...)
-	varSlot := tbl.SlotOf(varName)
-	bp := newBindPlan(tbl, np.Props)
-	w := tbl.Width()
-	ids, indexed := indexedNodeCandidates(g, np.Labels)
-	c.lastScanIndexed = indexed
-	if !indexed {
-		ids = g.NodeIDs()
-	}
-	parts, err := c.mapSlabs(len(ids), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, w)
-		var combos []propCombo
-		for i, id := range ids[lo:hi] {
-			if i&(checkStride-1) == 0 {
-				if err := c.gov.Checkpoint(faultinject.SiteCoreScan); err != nil {
-					return nil, err
-				}
-			}
-			n, _ := g.Node(id)
-			ok, err := c.nodeMatches(g, n, np)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			for s := range scratch {
-				scratch[s] = value.Absent
-			}
-			scratch[varSlot] = value.NodeRef(uint64(id))
-			combos = bp.addCombos(combos[:0], n.Props)
-			slab = appendCombos(slab, scratch, combos)
-		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeSlabs(tbl, parts)
-}
-
-// extendEdge extends every row of tbl over one edge pattern to the
-// next node pattern.
-func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
-	if ep.Copy {
-		return nil, errf("the copy form [=%s] is only allowed in CONSTRUCT", ep.Var)
-	}
-	if snap := c.snapOf(g); snap != nil {
-		return c.extendEdgeCSR(snap, g, tbl, leftVar, ep, edgeVar, rightNp, rightVar)
-	}
-	vars := append(tbl.Vars(), edgeVar, rightVar)
-	for _, ps := range ep.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	for _, ps := range rightNp.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	out := bindings.EmptyTable(vars...)
-	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep, rightNp)
-
-	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
-	parts, err := c.mapSlabs(tbl.Len(), safe, func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, out.Width())
-		var combos []propCombo
-		for ri := lo; ri < hi; ri++ {
-			if err := c.gov.Checkpoint(faultinject.SiteCoreExtend); err != nil {
-				return nil, err
-			}
-			row := tbl.RowAt(ri)
-			uid, ok := nodeOf(ex.left(row))
-			if !ok {
-				continue
-			}
-			// emit extends the row over one edge in deterministic
-			// order (out-edges ascending, then in-edges ascending).
-			emit := func(e *ppg.Edge, other ppg.NodeID) error {
-				// Edge label/property tests.
-				if !labelSpecMatches(ep.Labels, e.Labels) {
-					return nil
-				}
-				if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
-					return err
-				}
-				// Pre-bound edge/node variables must agree.
-				if !ex.agrees(row, uint64(e.ID), other) {
-					return nil
-				}
-				// Right node tests.
-				on, ok2 := g.Node(other)
-				if !ok2 {
-					return nil
-				}
-				if ok3, err := c.nodeMatches(g, on, rightNp); err != nil || !ok3 {
-					return err
-				}
-				combos = ex.fill(scratch, row, uint64(e.ID), uint64(other), e.Props, on.Props, combos)
-				slab = appendCombos(slab, scratch, combos)
-				return nil
-			}
-			var err error
-			if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
-				for _, eid := range g.OutEdges(uid) {
-					e, _ := g.Edge(eid)
-					if err = emit(e, e.Dst); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if ep.Dir == ast.DirIn || ep.Dir == ast.DirBoth {
-				for _, eid := range g.InEdges(uid) {
-					e, _ := g.Edge(eid)
-					if ep.Dir == ast.DirBoth && e.Src == e.Dst {
-						continue // self-loop already emitted by the out pass
-					}
-					if err = emit(e, e.Src); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeSlabs(out, parts)
 }
 
 // extendPlan precomputes the slot arithmetic of one edge extension:

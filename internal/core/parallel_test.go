@@ -38,9 +38,7 @@ func genEvaluator(t *testing.T, workers int) *core.Evaluator {
 	if err := cat.RegisterGraph(ds.Social); err != nil {
 		t.Fatal(err)
 	}
-	ev := core.New(cat, core.Config{})
-	ev.SetParallelism(workers)
-	return ev
+	return core.New(cat, core.Config{Workers: workers})
 }
 
 // render serialises a result so outputs can be compared byte for byte.

@@ -33,7 +33,7 @@ import (
 
 // estimateNodeScan is the planner's cardinality estimate for scanning
 // one node pattern: the most selective label conjunct's index bucket
-// size (mirroring indexedNodeCandidates), or the node count when the
+// size (mirroring indexedNodeOrdinals), or the node count when the
 // pattern is unlabelled.
 func estimateNodeScan(g *ppg.Graph, np *ast.NodePattern) int {
 	if g == nil {

@@ -201,20 +201,18 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 		slot  int
 	}
 	accels := make([]accel, len(ready))
-	if snap != nil {
-		for i, cj := range ready {
-			if lt, ok := cj.expr.(*ast.LabelTest); ok {
-				lids := make([]int32, len(lt.Labels))
-				for j, l := range lt.Labels {
-					lids[j] = snap.LabelID(l)
-				}
-				accels[i] = accel{label: &labelFast{v: lt.Var, lids: lids}, slot: tbl.SlotOf(lt.Var)}
-				continue
+	for i, cj := range ready {
+		if lt, ok := cj.expr.(*ast.LabelTest); ok {
+			lids := make([]int32, len(lt.Labels))
+			for j, l := range lt.Labels {
+				lids[j] = snap.LabelID(l)
 			}
-			if !c.ev.abl.MapProps {
-				if p := cj.colPred(); p != nil {
-					accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
-				}
+			accels[i] = accel{label: &labelFast{v: lt.Var, lids: lids}, slot: tbl.SlotOf(lt.Var)}
+			continue
+		}
+		if !c.ev.abl.MapProps {
+			if p := cj.colPred(); p != nil {
+				accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
 			}
 		}
 	}
@@ -319,12 +317,11 @@ func (c *evalCtx) residualFilter(conjs []*conjunct, tbl *bindings.Table, env *en
 	preds := make([]*boundPred, len(rest))
 	slots := make([]int, len(rest))
 	if !c.ev.abl.MapProps && env.constructed == nil && len(env.graphs) > 0 {
-		if snap := c.snapOf(env.graphs[0]); snap != nil {
-			for i, cj := range rest {
-				if p := cj.colPred(); p != nil {
-					preds[i] = bindColPred(snap, p)
-					slots[i] = tbl.SlotOf(p.v)
-				}
+		snap := c.snapOf(env.graphs[0])
+		for i, cj := range rest {
+			if p := cj.colPred(); p != nil {
+				preds[i] = bindColPred(snap, p)
+				slots[i] = tbl.SlotOf(p.v)
 			}
 		}
 	}

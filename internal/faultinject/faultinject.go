@@ -19,18 +19,14 @@ import (
 
 // The probe sites. Each names one evaluation checkpoint; the site is
 // passed to gov.Governor.Checkpoint, which forwards it here when the
-// harness is armed. Sites come in pairs where the engine has a legacy
-// and a CSR kernel for the same operation — the fault tests run an
-// engine under each ablation to reach both.
+// harness is armed.
 const (
 	// SiteEvalStart fires once at the top of every statement
 	// evaluation, before any clause runs.
 	SiteEvalStart = "core.eval"
-	// SiteCoreScan fires in the node-scan candidate loops (legacy and
-	// CSR forms share it; the MapKernels ablation selects which runs).
+	// SiteCoreScan fires in the node-scan candidate loop.
 	SiteCoreScan = "core.scan"
-	// SiteCoreExtend fires per row of the edge-expansion loops
-	// (legacy and CSR forms).
+	// SiteCoreExtend fires per row of the edge-expansion loop.
 	SiteCoreExtend = "core.extend"
 	// SiteCoreFilter fires in the WHERE loops: pushed-down conjunct
 	// chunks and the residual filter.
@@ -44,12 +40,6 @@ const (
 	// SiteParChunk fires in the worker-pool loops before each chunk
 	// (MapChunks) or index (ForEachIdx) is claimed.
 	SiteParChunk = "par.chunk"
-	// SiteRPQShortest fires in the legacy k-shortest heap loop.
-	SiteRPQShortest = "rpq.shortest"
-	// SiteRPQReach fires in the legacy reachability frontier loop.
-	SiteRPQReach = "rpq.reach"
-	// SiteRPQAll fires in the legacy ALL-paths sweep loop.
-	SiteRPQAll = "rpq.all"
 	// SiteRPQCSRShortest fires in the CSR k-shortest heap loop.
 	SiteRPQCSRShortest = "rpq.csr.shortest"
 	// SiteRPQCSRReach fires in the CSR reachability frontier loop.
@@ -98,9 +88,6 @@ func AllSites() []string {
 		SiteCorePath,
 		SiteCoreConstruct,
 		SiteParChunk,
-		SiteRPQShortest,
-		SiteRPQReach,
-		SiteRPQAll,
 		SiteRPQCSRShortest,
 		SiteRPQCSRReach,
 		SiteRPQCSRAll,

@@ -57,8 +57,8 @@ func TestHookAction(t *testing.T) {
 	Arm()
 	defer Disarm()
 	ran := false
-	Set(SiteRPQShortest, Action{Fn: func() { ran = true }})
-	if err := Check(SiteRPQShortest); err != nil {
+	Set(SiteRPQCSRShortest, Action{Fn: func() { ran = true }})
+	if err := Check(SiteRPQCSRShortest); err != nil {
 		t.Fatalf("hook-only probe returned %v", err)
 	}
 	if !ran {
@@ -93,7 +93,7 @@ func TestAllSitesDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if len(seen) < 13 {
-		t.Fatalf("expected at least 13 sites, got %d", len(seen))
+	if len(seen) < 10 {
+		t.Fatalf("expected at least 10 sites, got %d", len(seen))
 	}
 }

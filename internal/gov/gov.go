@@ -6,9 +6,8 @@
 // SNB-scale data — ALL-path projections, k-shortest sweeps, CONSTRUCT
 // grouping. A Governor is created per statement from the caller's
 // context and the engine's Limits; every hot loop of the evaluation
-// stack (node scans, edge expansion, WHERE filters, path searches in
-// both the legacy and CSR kernels, CONSTRUCT grouping, and the worker
-// pool's chunk dispatch) calls back into it at a checkpoint, so a
+// stack (node scans, edge expansion, WHERE filters, path searches,
+// CONSTRUCT grouping, and the worker pool's chunk dispatch) calls back into it at a checkpoint, so a
 // cancelled or expired context, or an exhausted budget, stops the
 // query within one checkpoint interval and surfaces as a typed
 // *QueryError instead of unbounded work.

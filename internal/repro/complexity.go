@@ -27,17 +27,15 @@ type ScalePoint struct {
 }
 
 // engineAt builds an engine over a generated SNB graph of the given
-// size.
+// size, which is the default graph (the generator names it
+// snb_<persons>).
 func engineAt(persons int) (*gcore.Engine, *gcore.Graph, error) {
-	eng := gcore.NewEngine()
+	eng := gcore.NewEngine(gcore.WithDefaultGraph(fmt.Sprintf("snb_%d", persons)))
 	social, companies := eng.GenerateSNB(gcore.SNBConfig{Persons: persons, Seed: 1})
 	if err := eng.RegisterGraph(social); err != nil {
 		return nil, nil, err
 	}
 	if err := eng.RegisterGraph(companies); err != nil {
-		return nil, nil, err
-	}
-	if err := eng.SetDefaultGraph(social.Name()); err != nil {
 		return nil, nil, err
 	}
 	return eng, social, nil

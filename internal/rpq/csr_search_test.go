@@ -2,7 +2,6 @@ package rpq
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"gcore/internal/ast"
@@ -10,9 +9,10 @@ import (
 	"gcore/internal/ppg"
 )
 
-// Differential tests: the CSR kernels must produce byte-identical
-// results to the legacy map-based kernels — same paths, same order,
-// same tie-breaking — on every regex shape and graph.
+// Golden tests: the CSR kernels must reproduce, byte for byte, the
+// outputs of the map-based kernels they replaced — same paths, same
+// order, same tie-breaking — on every regex shape and graph of the
+// corpus. Those outputs are frozen in testdata (see golden_test.go).
 
 // diffGraph builds a random labelled graph.
 func diffGraph(t *testing.T, r *rand.Rand) (*ppg.Graph, []ppg.NodeID) {
@@ -73,120 +73,19 @@ func diffRegexes(t *testing.T) []*NFA {
 	return nfas
 }
 
+// TestCSRMatchesLegacy: ShortestPaths, Reachable, Destinations and
+// Projection render exactly as the map-based kernels did.
 func TestCSRMatchesLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 12; trial++ {
-		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, csr.Of(g), nil)
-		legEng := NewEngine(g, nil, nil)
-		for ni, nfa := range diffRegexes(t) {
-			for _, src := range ids[:3] {
-				for _, k := range []int{1, 3} {
-					got, err := csrEng.ShortestPaths(src, nfa, k)
-					if err != nil {
-						t.Fatalf("trial %d regex %d: csr shortest: %v", trial, ni, err)
-					}
-					want, err := legEng.ShortestPaths(src, nfa, k)
-					if err != nil {
-						t.Fatalf("trial %d regex %d: legacy shortest: %v", trial, ni, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d regex %d src %d k=%d: ShortestPaths diverged\ncsr:    %v\nlegacy: %v",
-							trial, ni, src, k, got, want)
-					}
-				}
-
-				gotR, err := csrEng.Reachable(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantR, err := legEng.Reachable(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotR, wantR) {
-					t.Fatalf("trial %d regex %d src %d: Reachable diverged\ncsr:    %v\nlegacy: %v",
-						trial, ni, src, gotR, wantR)
-				}
-
-				gotAP, err := csrEng.AllPaths(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantAP, err := legEng.AllPaths(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotDst, wantDst := gotAP.Destinations(), wantAP.Destinations()
-				if !reflect.DeepEqual(gotDst, wantDst) {
-					t.Fatalf("trial %d regex %d src %d: Destinations diverged\ncsr:    %v\nlegacy: %v",
-						trial, ni, src, gotDst, wantDst)
-				}
-				for _, dst := range wantDst {
-					gn, ge, gok := gotAP.Projection(dst)
-					wn, we, wok := wantAP.Projection(dst)
-					if gok != wok || !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ge, we) {
-						t.Fatalf("trial %d regex %d src %d dst %d: Projection diverged\ncsr:    %v %v %v\nlegacy: %v %v %v",
-							trial, ni, src, dst, gn, ge, gok, wn, we, wok)
-					}
-				}
-				// A destination absent from the sweep must answer !ok on
-				// both paths.
-				if _, _, ok := gotAP.Projection(ppg.NodeID(99_999)); ok {
-					t.Fatal("Projection accepted a node outside the graph")
-				}
-			}
-		}
-	}
+	got := renderKernels(t, func(g *ppg.Graph) *Engine { return NewEngine(g, csr.Of(g), nil) })
+	checkGolden(t, "legacy_kernels.golden", got)
 }
 
-// TestCSRBaselinesMatchLegacy checks the simple-path and trail
-// baselines agree between the snapshot-backed and legacy adjacency.
+// TestCSRBaselinesMatchLegacy: the simple-path and trail baselines,
+// which walk the snapshot through eachEdgeStep, render exactly as
+// they did over the ppg adjacency maps.
 func TestCSRBaselinesMatchLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	nfa := mustCompile(t, rxPlus(rxAlt(rxLabel("a"), rxLabel("b"))))
-	for trial := 0; trial < 6; trial++ {
-		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, csr.Of(g), nil)
-		legEng := NewEngine(g, nil, nil)
-		src, dst := ids[0], ids[1]
-
-		gotB, gotV, err := csrEng.SimplePathSearch(src, nfa, 50_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, wantV, err := legEng.SimplePathSearch(src, nfa, 50_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotV != wantV || !reflect.DeepEqual(gotB, wantB) {
-			t.Fatalf("trial %d: SimplePathSearch diverged (visits %d vs %d)", trial, gotV, wantV)
-		}
-
-		gc, gv, _ := csrEng.CountSimplePaths(src, dst, nfa, 50_000)
-		wc, wv, _ := legEng.CountSimplePaths(src, dst, nfa, 50_000)
-		if gc != wc || gv != wv {
-			t.Fatalf("trial %d: CountSimplePaths diverged (%d/%d vs %d/%d)", trial, gc, gv, wc, wv)
-		}
-
-		gotT, gotTV, err := csrEng.TrailSearch(src, nfa, 20_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantT, wantTV, err := legEng.TrailSearch(src, nfa, 20_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotTV != wantTV || !reflect.DeepEqual(gotT, wantT) {
-			t.Fatalf("trial %d: TrailSearch diverged (visits %d vs %d)", trial, gotTV, wantTV)
-		}
-
-		gtc, gtv, _ := csrEng.CountTrails(src, dst, nfa, 20_000)
-		wtc, wtv, _ := legEng.CountTrails(src, dst, nfa, 20_000)
-		if gtc != wtc || gtv != wtv {
-			t.Fatalf("trial %d: CountTrails diverged (%d/%d vs %d/%d)", trial, gtc, gtv, wtc, wtv)
-		}
-	}
+	got := renderBaselines(t, func(g *ppg.Graph) *Engine { return NewEngine(g, csr.Of(g), nil) })
+	checkGolden(t, "legacy_baselines.golden", got)
 }
 
 // TestStateTabSparseFallback forces the sparse branch and checks the

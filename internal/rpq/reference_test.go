@@ -3,6 +3,8 @@ package rpq
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,11 +15,16 @@ import (
 // Reference implementation for cross-checking: build the product of
 // graph and automaton *explicitly* as a plain weighted digraph and run
 // textbook Dijkstra on it. The engine must report exactly the same
-// optimal cost for every destination.
+// optimal cost for every destination. The same digraph, swept forward
+// and backward, is the reference for the ALL-paths projection.
 
+// refEdge is one product transition; an edge step carries the graph
+// edge it traverses (step true), ε and node-test moves do not.
 type refEdge struct {
 	to   int
 	cost float64
+	step bool
+	eid  ppg.EdgeID
 }
 
 // buildProduct expands every (node, state) configuration eagerly.
@@ -37,24 +44,24 @@ func buildProduct(g *ppg.Graph, nfa *NFA) (adj map[int][]refEdge, cfgID func(ppg
 			for _, t := range nfa.trans[s] {
 				switch t.kind {
 				case tEps:
-					adj[from] = append(adj[from], refEdge{cfgID(n, t.to), 0})
+					adj[from] = append(adj[from], refEdge{to: cfgID(n, t.to)})
 				case tNode:
 					if node.Labels.Has(t.label) {
-						adj[from] = append(adj[from], refEdge{cfgID(n, t.to), 0})
+						adj[from] = append(adj[from], refEdge{to: cfgID(n, t.to)})
 					}
 				case tEdge:
 					if t.inverse {
 						for _, eid := range g.InEdges(n) {
 							e, _ := g.Edge(eid)
 							if t.label == "" || e.Labels.Has(t.label) {
-								adj[from] = append(adj[from], refEdge{cfgID(e.Src, t.to), 1})
+								adj[from] = append(adj[from], refEdge{cfgID(e.Src, t.to), 1, true, eid})
 							}
 						}
 					} else {
 						for _, eid := range g.OutEdges(n) {
 							e, _ := g.Edge(eid)
 							if t.label == "" || e.Labels.Has(t.label) {
-								adj[from] = append(adj[from], refEdge{cfgID(e.Dst, t.to), 1})
+								adj[from] = append(adj[from], refEdge{cfgID(e.Dst, t.to), 1, true, eid})
 							}
 						}
 					}
@@ -238,6 +245,117 @@ func TestQuickNodeTestRegexProduct(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refSweep returns the configurations reachable from start over adj.
+func refSweep(adj map[int][]refEdge, start int) map[int]bool {
+	seen := map[int]bool{start: true}
+	queue := []int{start}
+	for len(queue) > 0 {
+		c := queue[0]
+		queue = queue[1:]
+		for _, e := range adj[c] {
+			if !seen[e.to] {
+				seen[e.to] = true
+				queue = append(queue, e.to)
+			}
+		}
+	}
+	return seen
+}
+
+// refProjection is the ALL-paths summary of src→dst paths over the
+// explicit product: the nodes and edges of every product transition
+// that is forward-reachable from the start configuration and
+// co-reachable to the accepting configuration of dst. ok is false when
+// dst does not accept.
+func refProjection(g *ppg.Graph, nfa *NFA, adj map[int][]refEdge, cfgID func(ppg.NodeID, int) int,
+	src, dst ppg.NodeID) (nodes []ppg.NodeID, edges []ppg.EdgeID, ok bool) {
+	fwd := refSweep(adj, cfgID(src, nfa.start))
+	target := cfgID(dst, nfa.accept)
+	if !fwd[target] {
+		return nil, nil, false
+	}
+	rev := map[int][]refEdge{}
+	for from, es := range adj {
+		for _, e := range es {
+			rev[e.to] = append(rev[e.to], refEdge{to: from})
+		}
+	}
+	co := refSweep(rev, target)
+	nodeIDs := g.NodeIDs()
+	q := nfa.NumStates()
+	nodeSet := map[ppg.NodeID]bool{src: true, dst: true}
+	edgeSet := map[ppg.EdgeID]bool{}
+	for from, es := range adj {
+		if !fwd[from] {
+			continue
+		}
+		for _, e := range es {
+			if !co[e.to] {
+				continue
+			}
+			nodeSet[nodeIDs[from/q]] = true
+			nodeSet[nodeIDs[e.to/q]] = true
+			if e.step {
+				edgeSet[e.eid] = true
+			}
+		}
+	}
+	for n := range nodeSet {
+		nodes = append(nodes, n)
+	}
+	for e := range edgeSet {
+		edges = append(edges, e)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+	return nodes, edges, true
+}
+
+// TestQuickAllPathsMatchesExplicitProduct cross-checks the ALL-paths
+// sweep — Destinations and every Projection — against the explicit
+// product on random graphs, with random regexes extended by a node
+// test and an inverse step.
+func TestQuickAllPathsMatchesExplicitProduct(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randLabelledGraph(r, 6)
+		rx := rxCat(randRegex(r, 3), rxOpt(rxCat(rxNode("M"), rxInv("a"))))
+		nfa, err := Compile(rx)
+		if err != nil {
+			return false
+		}
+		ap, err := NewEngine(g, csr.Of(g), nil).AllPaths(1, nfa)
+		if err != nil {
+			return false
+		}
+		adj, cfgID := buildProduct(g, nfa)
+		fwd := refSweep(adj, cfgID(1, nfa.start))
+		wantDst := []ppg.NodeID{}
+		for _, n := range g.NodeIDs() {
+			if fwd[cfgID(n, nfa.accept)] {
+				wantDst = append(wantDst, n)
+			}
+		}
+		if got := ap.Destinations(); !reflect.DeepEqual(got, wantDst) {
+			t.Logf("seed %d: destinations %v, reference %v (regex %s)", seed, got, wantDst, rx)
+			return false
+		}
+		for _, n := range g.NodeIDs() {
+			gn, ge, gok := ap.Projection(n)
+			wn, we, wok := refProjection(g, nfa, adj, cfgID, 1, n)
+			if gok != wok || !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ge, we) {
+				t.Logf("seed %d dst %d: projection %v %v %v, reference %v %v %v (regex %s)",
+					seed, n, gn, ge, gok, wn, we, wok, rx)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }

@@ -21,15 +21,14 @@ import (
 // but partitioned operators merge in input order, so the totals are a
 // function of the query alone). EXPLAIN ANALYZE is checked on every
 // paper example, and the options-based construction API is held to
-// exact parity with the deprecated setters.
+// exact parity with per-session configuration.
 
 // evalObserved runs one query on a fresh engine built by setup with a
 // collector attached and the given worker count; it returns the
 // rendered result and the collector's aggregate totals.
 func evalObserved(t *testing.T, setup engineSetup, query string, workers int) (string, gcore.Stats) {
 	t.Helper()
-	eng := setup(t)
-	eng.SetParallelism(workers)
+	eng := setup(t, gcore.WithParallelism(workers))
 	col := gcore.NewCollector()
 	eng.SetCollector(col)
 	res, err := eng.Eval(query)
@@ -106,8 +105,8 @@ func TestObservabilityDifferentialSNB(t *testing.T) {
 }
 
 // TestOptionsSettersParity: an engine assembled with construction
-// options behaves exactly like one configured through the deprecated
-// setters.
+// options behaves exactly like a plain engine configured through the
+// setters of a Session.
 func TestOptionsSettersParity(t *testing.T) {
 	limits := gcore.Limits{MaxBindings: 10_000, Timeout: time.Minute}
 	byOptions := gcore.NewEngine(
@@ -121,12 +120,12 @@ func TestOptionsSettersParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bySetters := gcore.NewEngine()
-	bySetters.SetParallelism(1)
-	bySetters.SetLimits(limits)
-	if err := bySetters.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+	plain := gcore.NewEngine()
+	if err := plain.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
 		t.Fatal(err)
 	}
+	bySetters := plain.NewSession()
+	bySetters.SetLimits(limits)
 	if err := bySetters.SetDefaultGraph("social_graph"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestOptionsSettersParity(t *testing.T) {
 	}
 	const query = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
 	a := renderResult(byOptions.Eval(query))
-	b := renderResult(bySetters.Eval(query))
+	b := renderResult(bySetters.EvalContext(context.Background(), query))
 	if a != b {
 		t.Fatalf("results differ\noptions:\n%s\nsetters:\n%s", a, b)
 	}

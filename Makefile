@@ -46,21 +46,34 @@ benchcmp:
 		grep '^Benchmark' bench.base.txt; echo '---'; grep '^Benchmark' bench.head.txt; \
 	fi
 
-# Regression guard over the committed baseline: allocation regressions
-# beyond 20% on the guarded hot-path benchmarks fail, timing
-# regressions warn (allocs/op is machine-independent, ns/op is not).
+# Regression guard over the committed baseline: allocs/op or B/op
+# regressions beyond 20% on the guarded benchmarks fail, timing
+# regressions warn (allocation counts and bytes are
+# machine-independent, ns/op is not). A benchmark whose own baseline
+# runs spread more than 20% in B/op gets a B/op warning instead.
 # BENCH_GUARD is the one list of guarded benchmarks; CI runs this
-# target. They are joins, parallel match, columnar scans, the
-# plan-cache and prepared-eval paths, incremental snapshot
-# maintenance, concurrent reads, WAL append and group commit.
-BENCH_GUARD := BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit
+# target and it is passed to cmd/benchguard as -guard.
+#   - Joins, parallel match (with span instrumentation live, so it
+#     also proves the observability budget) and columnar scans.
+#   - RepeatedEval (/cache the plan-cache hit path, /nocache the
+#     ablated fallback) and PreparedEval (parameterised statements).
+#   - MutateThenRead and SnapshotDelta: incremental snapshot
+#     maintenance must stay O(delta), not O(graph).
+#   - ConcurrentRead: readers must keep sharing snapshots under the
+#     engine's read/write lock split.
+#   - WALAppend (every mutation pays one append) and WALGroupCommit
+#     (the contended SyncAlways path with shared fsyncs).
+#   - ComplexityScalingConstruct: the paper's polynomial-time claim
+#     on an OPTIONAL fold (a cross product shows as a B/op jump), and
+#     GuidedTour: the paper's guided-tour statements end to end.
+BENCH_GUARD := BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit|BenchmarkComplexityScalingConstruct|BenchmarkGuidedTour
 
 # bench.base.txt was recorded at GOMAXPROCS=1 and allocs/op depends
 # on the worker count (parallel chunking allocates per chunk), so the
 # guard runs at -cpu 1 whatever the host's core count.
 benchguard:
 	go test -bench='$(BENCH_GUARD)' -benchmem -count=3 -cpu 1 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
-	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
+	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt -guard '$(BENCH_GUARD)'
 
 repro:
 	go run ./cmd/gcore-repro

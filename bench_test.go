@@ -171,6 +171,19 @@ WHERE n.anchor = TRUE`, social.Name())
 }
 
 // CPLX1: grouped construction (the nr_messages view) across scales.
+// constructScalingQuery is the CPLX1 construction statement over the
+// SNB graph named graph: the guided tour's L39 view body, an OPTIONAL
+// block of three connected patterns aggregated per knows edge.
+func constructScalingQuery(graph string) string {
+	return fmt.Sprintf(`CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*)
+MATCH (n)-[e:knows]->(m) ON %s
+WHERE (n:Person) AND (m:Person)
+OPTIONAL (n)<-[c1]-(msg1:Post|Comment),
+         (msg1)-[:reply_of]-(msg2),
+         (msg2:Post|Comment)-[c2]->(m)
+WHERE (c1:has_creator) AND (c2:has_creator)`, graph)
+}
+
 func BenchmarkComplexityScalingConstruct(b *testing.B) {
 	for _, persons := range []int{50, 100, 200} {
 		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
@@ -179,14 +192,7 @@ func BenchmarkComplexityScalingConstruct(b *testing.B) {
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
 			}
-			q := fmt.Sprintf(`CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*)
-MATCH (n)-[e:knows]->(m) ON %s
-WHERE (n:Person) AND (m:Person)
-OPTIONAL (n)<-[c1]-(msg1:Post|Comment),
-         (msg1)-[:reply_of]-(msg2),
-         (msg2:Post|Comment)-[c2]->(m)
-WHERE (c1:has_creator) AND (c2:has_creator)`, social.Name())
-			stmt, err := gcore.Parse(q)
+			stmt, err := gcore.Parse(constructScalingQuery(social.Name()))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,17 +10,23 @@ import (
 )
 
 // metric is the averaged measurements of one benchmark across the
-// repeated -count runs of a file.
+// repeated -count runs of a file; minBytes and maxBytes are the
+// extremes of B/op over those runs.
 type metric struct {
-	ns     float64
-	allocs float64
-	hasMem bool
-	n      int
+	ns       float64
+	bytes    float64
+	allocs   float64
+	minBytes float64
+	maxBytes float64
+	hasMem   bool
+	n        int
 }
 
 // stripProcSuffix removes the trailing "-<GOMAXPROCS>" go test
 // appends to benchmark names, so files from machines with different
-// core counts compare by the logical benchmark name.
+// core counts compare by the logical benchmark name. At GOMAXPROCS=1
+// go test appends nothing, so parseBench strips only a suffix that
+// every benchmark of a package block shares.
 func stripProcSuffix(name string) string {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
@@ -32,8 +38,14 @@ func stripProcSuffix(name string) string {
 	return name[:i]
 }
 
+// procSuffix returns the "-<digits>" stripProcSuffix would remove.
+func procSuffix(name string) string {
+	return name[len(stripProcSuffix(name)):]
+}
+
 // parseBenchLine decodes one `BenchmarkX-8 N 12.3 ns/op 4 B/op
-// 2 allocs/op` line; ok is false for headers, PASS, ok … lines.
+// 2 allocs/op` line, keeping the name as printed; ok is false for
+// headers, PASS, ok … lines.
 func parseBenchLine(line string) (name string, m metric, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -53,32 +65,69 @@ func parseBenchLine(line string) (name string, m metric, ok bool) {
 		case "ns/op":
 			m.ns = v
 			seen = true
+		case "B/op":
+			m.bytes = v
 		case "allocs/op":
 			m.allocs = v
 			m.hasMem = true
 		}
 	}
-	return stripProcSuffix(fields[0]), m, seen
+	return fields[0], m, seen
 }
 
 // parseBench averages the repeated runs of each benchmark in one
-// `go test -bench` output stream.
+// `go test -bench` output stream. A name's trailing "-N" is the
+// GOMAXPROCS suffix only when every benchmark line of its package
+// block (from one "pkg:" header to the next) ends in the same "-N";
+// otherwise it belongs to the name, like BenchmarkConcurrentRead's
+// readers-1 … readers-8 sub-benchmarks at -cpu 1.
 func parseBench(lines []string) map[string]metric {
+	type run struct {
+		name string
+		m    metric
+	}
 	out := map[string]metric{}
+	var block []run
+	flush := func() {
+		suffix := ""
+		if len(block) > 0 {
+			suffix = procSuffix(block[0].name)
+		}
+		for _, r := range block {
+			if procSuffix(r.name) != suffix {
+				suffix = ""
+				break
+			}
+		}
+		for _, r := range block {
+			name, m := strings.TrimSuffix(r.name, suffix), r.m
+			acc, seen := out[name]
+			if !seen || m.bytes < acc.minBytes {
+				acc.minBytes = m.bytes
+			}
+			acc.maxBytes = max(acc.maxBytes, m.bytes)
+			acc.ns += m.ns
+			acc.bytes += m.bytes
+			acc.allocs += m.allocs
+			acc.hasMem = acc.hasMem || m.hasMem
+			acc.n += m.n
+			out[name] = acc
+		}
+		block = block[:0]
+	}
 	for _, line := range lines {
-		name, m, ok := parseBenchLine(line)
-		if !ok {
+		if strings.HasPrefix(line, "pkg:") {
+			flush()
 			continue
 		}
-		acc := out[name]
-		acc.ns += m.ns
-		acc.allocs += m.allocs
-		acc.hasMem = acc.hasMem || m.hasMem
-		acc.n += m.n
-		out[name] = acc
+		if name, m, ok := parseBenchLine(line); ok {
+			block = append(block, run{name, m})
+		}
 	}
+	flush()
 	for name, acc := range out {
 		acc.ns /= float64(acc.n)
+		acc.bytes /= float64(acc.n)
 		acc.allocs /= float64(acc.n)
 		out[name] = acc
 	}
@@ -125,9 +174,11 @@ func guarded(name string, prefixes []string) bool {
 }
 
 // compare checks every guarded head benchmark against the baseline:
-// allocs/op beyond the threshold is a failure, ns/op beyond it a
-// warning, and guarded baseline benchmarks missing from the head run
-// warn as lost coverage.
+// allocs/op or B/op beyond the threshold is a failure, ns/op beyond it
+// a warning, and guarded baseline benchmarks missing from the head run
+// warn as lost coverage. A benchmark whose own baseline runs spread
+// wider than the threshold in B/op (max/min) cannot resolve a
+// regression of that size, so its B/op check only warns, saying why.
 func compare(base, head map[string]metric, prefixes []string, threshold float64) result {
 	var res result
 	names := make([]string, 0, len(head))
@@ -145,15 +196,37 @@ func compare(base, head map[string]metric, prefixes []string, threshold float64)
 			continue
 		}
 		res.checked++
+		failed := false
 		if b.hasMem && h.hasMem && b.allocs > 0 {
 			ratio := h.allocs / b.allocs
 			verdict := "ok  "
 			if ratio > 1+threshold {
 				verdict = "FAIL"
-				res.failures = append(res.failures, name)
+				failed = true
 			}
 			res.lines = append(res.lines, fmt.Sprintf("%s  %s: allocs/op %.1f → %.1f (%+.1f%%)",
 				verdict, name, b.allocs, h.allocs, (ratio-1)*100))
+		}
+		if b.hasMem && h.hasMem && b.bytes > 0 {
+			ratio := h.bytes / b.bytes
+			spread := b.maxBytes / b.minBytes
+			verdict, note := "ok  ", ""
+			if spread > 1+threshold {
+				note = fmt.Sprintf(" — baseline B/op spread ×%.2f over %d runs exceeds the budget, warn only", spread, b.n)
+			}
+			if ratio > 1+threshold {
+				if note != "" {
+					verdict = "WARN"
+				} else {
+					verdict = "FAIL"
+					failed = true
+				}
+			}
+			res.lines = append(res.lines, fmt.Sprintf("%s  %s: B/op %.0f → %.0f (%+.1f%%)%s",
+				verdict, name, b.bytes, h.bytes, (ratio-1)*100, note))
+		}
+		if failed {
+			res.failures = append(res.failures, name)
 		}
 		if b.ns > 0 {
 			ratio := h.ns / b.ns

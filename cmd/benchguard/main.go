@@ -1,17 +1,19 @@
 // Command benchguard compares two `go test -bench` output files and
 // guards the hot-path benchmarks against regressions. Allocation
-// counts are deterministic across machines, so an allocs/op increase
-// beyond the threshold on a guarded benchmark fails the run (exit 1);
-// ns/op is timing- and machine-dependent, so a time regression only
-// warns. Benchmarks present in the baseline but missing from the head
-// run also warn, so silently dropping a guarded benchmark is visible.
+// counts and bytes are deterministic across machines, so an allocs/op
+// or B/op increase beyond the threshold on a guarded benchmark fails
+// the run (exit 1); ns/op is timing- and machine-dependent, so a time
+// regression only warns. A benchmark whose baseline runs disagree in
+// B/op by more than the threshold cannot resolve such a regression;
+// its B/op check warns instead, and the report says so. Benchmarks
+// present in the baseline but missing from the head run also warn, so
+// silently dropping a guarded benchmark is visible.
 //
 // Usage:
 //
-//	make benchguard  # runs the guarded list (BENCH_GUARD in the Makefile), or by hand:
-//	go test -bench 'BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval' \
-//	    -benchmem -run '^$' . ./internal/bindings | tee bench.head.txt
-//	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
+//	make benchguard  # runs and guards BENCH_GUARD from the Makefile, or by hand:
+//	go test -bench 'BenchmarkJoin|BenchmarkParallelMatch' -benchmem -cpu 1 -run '^$' . ./internal/bindings | tee bench.head.txt
+//	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt -guard 'BenchmarkJoin|BenchmarkParallelMatch'
 package main
 
 import (
@@ -24,28 +26,13 @@ import (
 func main() {
 	base := flag.String("base", "bench.base.txt", "baseline `go test -bench` output")
 	head := flag.String("head", "bench.head.txt", "head `go test -bench` output")
-	// BenchmarkParallelMatch runs with the observability span
-	// instrumentation live (spans open at every operator boundary),
-	// so the guard doubles as the proof that instrumentation stays
-	// within the allocation budget.
-	// BenchmarkRepeatedEval covers both plan-cache modes (the /cache
-	// sub-benchmark is the hit path, /nocache the ablated fallback),
-	// and BenchmarkPreparedEval the parameterised prepared-statement
-	// path, so a plan-cache regression shows up as an allocation jump.
-	// BenchmarkWALAppend guards the per-record durability overhead:
-	// every graph mutation pays one append, so an allocation creep
-	// here taxes every write; BenchmarkWALGroupCommit the contended
-	// SyncAlways path with shared fsyncs.
-	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard
-	// incremental snapshot maintenance: the delta apply must stay
-	// O(delta)-allocating, not O(graph), or mixed read/write
-	// workloads silently fall back to rebuild-per-read costs.
-	// BenchmarkConcurrentRead guards the reader path under the
-	// engine's read/write lock split: an allocation jump there means
-	// concurrent readers stopped sharing snapshots.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit", "comma-separated benchmark name prefixes to guard")
+	guard := flag.String("guard", "", "guarded benchmark name prefixes separated by |, as in a go test -bench alternation")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
+	if *guard == "" {
+		fmt.Fprintln(os.Stderr, "benchguard: -guard is required (make benchguard passes BENCH_GUARD)")
+		os.Exit(2)
+	}
 
 	baseRecs, err := loadBench(*base)
 	if err != nil {
@@ -57,7 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
-	report := compare(baseRecs, headRecs, strings.Split(*guard, ","), *threshold)
+	report := compare(baseRecs, headRecs, strings.Split(*guard, "|"), *threshold)
 	for _, line := range report.lines {
 		fmt.Println(line)
 	}

@@ -304,25 +304,21 @@ func explainJoinOrder(sb *strings.Builder, pats []*ast.LocatedPattern, ests []in
 	if len(ests) < 2 {
 		return
 	}
+	vars := patternVars(pats)
 	folded := map[string]bool{}
 	cross := false
 	fmt.Fprintf(sb, "%s  join order: ", indent)
-	for i, o := range joinOrder(ests, textual) {
-		vars := map[string]bool{}
-		collectVars(pats[o].Pattern, vars)
+	for i, o := range joinOrder(ests, vars, textual) {
 		if i > 0 {
-			op := " × "
-			for v := range vars {
-				if folded[v] {
-					op = " ⋈ "
-					break
-				}
+			op := " ⋈ "
+			if !sharesVar(vars[o], folded) {
+				op = " × "
+				cross = true
 			}
-			cross = cross || op == " × "
 			sb.WriteString(op)
 		}
 		fmt.Fprintf(sb, "pattern %d [est %s]", o+1, estString(ests[o]))
-		for v := range vars {
+		for v := range vars[o] {
 			folded[v] = true
 		}
 	}

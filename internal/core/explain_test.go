@@ -117,8 +117,10 @@ func TestExplainSetOpsAndFrom(t *testing.T) {
 // TestExplainMarksCrossProduct: a fold step whose pattern shares no
 // variable with the patterns folded before it is a cross product;
 // EXPLAIN prints × for it and flags the line. Connected folds keep ⋈
-// and no flag, and among the paper's queries exactly the disconnected
-// MATCHes carry the marker.
+// and no flag — the connected-first join order never makes one a
+// cross product, whatever the estimates (the L39 OPTIONAL block's
+// cheapest patterns 1 and 3 share no variable) — and among the
+// paper's queries exactly the disconnected MATCHes carry the marker.
 func TestExplainMarksCrossProduct(t *testing.T) {
 	ev := newToy(t)
 	plan := explain(t, ev, `CONSTRUCT (a) MATCH (a:Person), (b:Tag)`)
@@ -129,13 +131,16 @@ func TestExplainMarksCrossProduct(t *testing.T) {
 		`CONSTRUCT (a) MATCH (a:Person)-[:knows]->(b:Person), (b)-[:hasInterest]->(t:Tag)`,
 		`CONSTRUCT (a) MATCH (t:Tag), (a:Person)-[:hasInterest]->(t), (a)-[:knows]->(b)`,
 		`CONSTRUCT (n) MATCH (n:Person) OPTIONAL (n)-[:knows]->(m), (m)-[:hasInterest]->(t)`,
+		`CONSTRUCT (n) MATCH (n:Person)-[:knows]->(m:Person)
+		 OPTIONAL (n)<-[c1]-(msg1:Post|Comment), (msg1)-[:reply_of]-(msg2), (msg2:Post|Comment)-[c2]->(m)
+		 WHERE (c1:has_creator) AND (c2:has_creator)`,
 	} {
 		plan := explain(t, ev, src)
 		if !strings.Contains(plan, "join order:") || strings.Contains(plan, "×") || strings.Contains(plan, "cross product") {
 			t.Errorf("connected fold marked as a cross product:\n%s\n%s", src, plan)
 		}
 	}
-	want := map[string]bool{"L05": true, "L10": true, "L15": true, "L36": true, "L39": true, "L67": true}
+	want := map[string]bool{"L05": true, "L10": true, "L15": true, "L36": true, "L67": true}
 	for key, src := range parser.PaperQueries {
 		stmt, err := parser.Parse(src)
 		if err != nil {

@@ -47,10 +47,11 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 	// filter is a per-row predicate over its own variables).
 	conjs := c.prepareConjunctsCached(mc.Where)
 	// Evaluate every conjunct pattern in textual order (stable
-	// anonymous numbering), then fold the joins smallest estimate
-	// first — hidden row ordinals restore the textual fold order so
-	// downstream row-order-sensitive stages (CONSTRUCT identity
-	// assignment, canonical output order) see identical tables.
+	// anonymous numbering), then fold the joins connected-first,
+	// then cheapest — hidden row ordinals restore the textual fold
+	// order so downstream row-order-sensitive stages (CONSTRUCT
+	// identity assignment, canonical output order) see identical
+	// tables.
 	var (
 		tables []*bindings.Table
 		ests   []int
@@ -85,14 +86,14 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 		for _, t := range tables {
 			rowsIn += int64(t.Len())
 		}
-		tbl, err = c.foldConjuncts(tables, ests)
+		tbl, err = c.foldConjuncts(tables, ests, mc.Patterns)
 		if err != nil {
 			jsp.Fail()
 			return nil, nil, err
 		}
 		jsp.Rows(rowsIn, int64(tbl.Len())).End()
 	} else {
-		tbl, err = c.foldConjuncts(tables, ests)
+		tbl, err = c.foldConjuncts(tables, ests, mc.Patterns)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -170,7 +171,7 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 			for _, t := range bTables {
 				jIn += int64(t.Len())
 			}
-			bt, err = c.foldConjuncts(bTables, bEsts)
+			bt, err = c.foldConjuncts(bTables, bEsts, ob.Patterns)
 			if err != nil {
 				jsp.Fail()
 				osp.Fail()
@@ -178,7 +179,7 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 			}
 			jsp.Rows(jIn, int64(bt.Len())).End()
 		} else {
-			bt, err = c.foldConjuncts(bTables, bEsts)
+			bt, err = c.foldConjuncts(bTables, bEsts, ob.Patterns)
 			if err != nil {
 				osp.Fail()
 				return nil, nil, err

@@ -25,8 +25,10 @@ import (
 //  2. Conjunct join order — the comma-separated patterns of one MATCH
 //     are each evaluated (in textual order, which keeps anonymous
 //     variable numbering stable), but folded into the joined table
-//     smallest-estimate-first; hidden per-pattern row ordinals
-//     restore the textual fold order afterwards.
+//     connected-first, then cheapest: each step joins a pattern that
+//     shares a variable with those already folded whenever one is
+//     left; hidden per-pattern row ordinals restore the textual fold
+//     order afterwards.
 //
 // EXPLAIN surfaces both decisions (scan start/direction per chain,
 // fold order per MATCH) through the same planChain/joinOrder calls.
@@ -243,21 +245,21 @@ func (c *evalCtx) restoreForwardOrder(tbl *bindings.Table, gp *ast.GraphPattern,
 	return tbl.Pick(perm)
 }
 
-// foldConjuncts joins the conjunct-pattern tables of one MATCH in
-// estimate order (joinOrder), restoring the textual fold's row order.
-// Chain tables bind every schema variable in every row, so the
+// foldConjuncts joins the conjunct-pattern tables of one MATCH (pats,
+// one table each) in joinOrder, restoring the textual fold's row
+// order. Chain tables bind every schema variable in every row, so the
 // textual fold's output order is exactly the lexicographic order of
 // the constituent row ordinals — tag each table with a hidden ordinal
-// column, fold cheapest-first under the join budget, stable-sort by
+// column, fold in plan order under the join budget, stable-sort by
 // the ordinals in textual order, and drop them.
-func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings.Table, error) {
+func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int, pats []*ast.LocatedPattern) (*bindings.Table, error) {
 	switch len(tables) {
 	case 0:
 		return bindings.Unit(), nil
 	case 1:
 		return tables[0], nil
 	}
-	order := joinOrder(ests, c.ev.abl.TextualOrder)
+	order := joinOrder(ests, patternVars(pats), c.ev.abl.TextualOrder)
 	if orderIsTextual(order) {
 		tbl := tables[0]
 		var err error
@@ -282,18 +284,62 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 	return tbl.SortStableByVars(ordVars).DropVars(ordVars...), nil
 }
 
-// joinOrder returns the fold order for the conjunct-pattern tables of
-// one MATCH: indices sorted by estimate ascending, ties (and every
-// estimate, when textual) in textual order.
-func joinOrder(ests []int, textual bool) []int {
-	order := make([]int, len(ests))
-	for i := range order {
-		order[i] = i
+// patternVars returns the variables of each conjunct pattern: the
+// connectivity input of joinOrder, shared by foldConjuncts and
+// EXPLAIN so the printed fold cannot drift from the one that runs.
+func patternVars(pats []*ast.LocatedPattern) []map[string]bool {
+	out := make([]map[string]bool, len(pats))
+	for i, lp := range pats {
+		out[i] = map[string]bool{}
+		collectVars(lp.Pattern, out[i])
 	}
+	return out
+}
+
+// sharesVar reports whether vars names a variable of folded.
+func sharesVar(vars, folded map[string]bool) bool {
+	for v := range vars {
+		if folded[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// joinOrder returns the fold order for the conjunct-pattern tables of
+// one MATCH, given each pattern's estimate and variables: the
+// cheapest pattern first, then always the cheapest remaining pattern
+// that shares a variable with those already folded. A disconnected
+// pattern is taken only when no connected one is left, so an estimate
+// order never turns a connected MATCH into a cross product. Ties (and
+// every step, when textual) keep textual order.
+func joinOrder(ests []int, vars []map[string]bool, textual bool) []int {
+	order := make([]int, 0, len(ests))
 	if textual {
+		for i := range ests {
+			order = append(order, i)
+		}
 		return order
 	}
-	sort.SliceStable(order, func(a, b int) bool { return ests[order[a]] < ests[order[b]] })
+	taken := make([]bool, len(ests))
+	folded := map[string]bool{}
+	for len(order) < len(ests) {
+		next, nextConn := -1, false
+		for i, est := range ests {
+			if taken[i] {
+				continue
+			}
+			conn := sharesVar(vars[i], folded)
+			if next < 0 || conn && !nextConn || conn == nextConn && est < ests[next] {
+				next, nextConn = i, conn
+			}
+		}
+		taken[next] = true
+		order = append(order, next)
+		for v := range vars[next] {
+			folded[v] = true
+		}
+	}
 	return order
 }
 

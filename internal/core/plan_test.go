@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,19 +149,48 @@ func TestReverseNames(t *testing.T) {
 	}
 }
 
-func TestJoinOrder(t *testing.T) {
-	ests := []int{50, 2, math.MaxInt, 2}
-	got := joinOrder(ests, false)
-	want := []int{1, 3, 0, 2} // ties keep textual order
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("joinOrder = %v, want %v", got, want)
+// varSets builds joinOrder's per-pattern variable sets from
+// comma-separated variable lists, one per pattern.
+func varSets(lists ...string) []map[string]bool {
+	out := make([]map[string]bool, len(lists))
+	for i, l := range lists {
+		out[i] = map[string]bool{}
+		for _, v := range strings.Split(l, ",") {
+			if v != "" {
+				out[i][v] = true
+			}
 		}
 	}
-	got = joinOrder(ests, true)
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("TextualOrder joinOrder = %v, want identity", got)
+	return out
+}
+
+func TestJoinOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ests    []int
+		vars    []map[string]bool
+		textual bool
+		want    []int
+	}{
+		// Estimates alone would fold (a,b) × (c,d) ⋈ (b,c); the
+		// connected order takes (b,c) second.
+		{"chain", []int{1, 2, 9}, varSets("a,b", "c,d", "b,c"), false, []int{0, 2, 1}},
+		// The cheapest pattern still starts the fold, and among the
+		// connected ones the cheapest goes next ((a,b) only once (b,c)
+		// has joined).
+		{"chain from middle", []int{2, 3, 1, 5}, varSets("a,b", "b,c", "c,d", "d,e"), false, []int{2, 1, 0, 3}},
+		// A genuinely disconnected MATCH goes cheapest-first; ties
+		// keep textual order.
+		{"disconnected", []int{50, 2, math.MaxInt, 2}, varSets("a", "b", "c", "d"), false, []int{1, 3, 0, 2}},
+		// A disconnected pattern waits until its own component is the
+		// only one left, however cheap it is.
+		{"two components", []int{4, 1, 9, 2}, varSets("a,b", "x", "b,c", "x,y"), false, []int{1, 3, 0, 2}},
+		// TextualOrder keeps textual order whatever the estimates.
+		{"textual", []int{9, 1, 5}, varSets("a,b", "c,d", "b,c"), true, []int{0, 1, 2}},
+	} {
+		got := joinOrder(tc.ests, tc.vars, tc.textual)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: joinOrder = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

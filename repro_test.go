@@ -1,8 +1,10 @@
 package gcore_test
 
 import (
+	"runtime"
 	"testing"
 
+	"gcore"
 	"gcore/internal/repro"
 )
 
@@ -50,5 +52,40 @@ func TestReproComplexityShape(t *testing.T) {
 		if !p.WalkOK {
 			t.Errorf("width %d: walk search missed the shortest corner path", w)
 		}
+	}
+}
+
+// TestConstructScalingAllocShape guards the paper's polynomial-time
+// claim on the CPLX1 construction statement (the L39 view body): from
+// 100 to 200 SNB persons the bytes allocated by one evaluation may
+// grow at most 3× — a connected MATCH folded through a cross product
+// grows them quadratically (about 4.7×).
+func TestConstructScalingAllocShape(t *testing.T) {
+	alloc := func(persons int) uint64 {
+		eng := gcore.NewEngine()
+		social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: persons, Seed: 1})
+		if err := eng.RegisterGraph(social); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := gcore.Parse(constructScalingQuery(social.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.EvalStatement(stmt); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := eng.EvalStatement(stmt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(100), alloc(200)
+	ratio := float64(large) / float64(small)
+	t.Logf("bytes allocated: persons=100 %d, persons=200 %d (×%.2f)", small, large, ratio)
+	if ratio > 3.0 {
+		t.Errorf("allocation grew ×%.2f from 100 to 200 persons, want ≤ ×3.0 (superlinear fold)", ratio)
 	}
 }

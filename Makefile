@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench benchjson benchbase benchcmp benchguard repro fuzz cover fmt vet
+.PHONY: all build test race bench benchjson benchsmoke benchbase benchcmp benchguard repro fuzz cover fmt vet
 
 # Packages with guarded hot-path benchmarks: the root suite (MATCH,
 # paths, construction), the binding-table operators, the CSR snapshot
@@ -26,6 +26,11 @@ bench:
 # B/op, allocs/op per line).
 benchjson:
 	go test -bench . -benchmem -run '^$$' $(BENCH_PKGS) | go run ./cmd/benchjson
+
+# One-iteration smoke of the same suites as bench-smoke.json (CI's
+# bench-json artifact), so the package list lives only in BENCH_PKGS.
+benchsmoke:
+	go test -bench . -benchtime 1x -benchmem -run '^$$' $(BENCH_PKGS) | go run ./cmd/benchjson -o bench-smoke.json
 
 # Benchmark comparison workflow: `make benchbase` on the baseline
 # commit writes bench.base.txt, then `make benchcmp` on the changed

@@ -11,8 +11,8 @@ func benchTables(n int) (*Table, *Table) {
 	a := EmptyTable("x", "y")
 	b := EmptyTable("y", "z")
 	for i := 0; i < n; i++ {
-		a.Add(Binding{"x": value.Int(int64(i)), "y": value.Int(int64(i % (n / 4)))})
-		b.Add(Binding{"y": value.Int(int64(i % (n / 4))), "z": value.Str("v")})
+		a.AppendRow([]value.Value{value.Int(int64(i)), value.Int(int64(i % (n / 4)))})
+		b.AppendRow([]value.Value{value.Int(int64(i % (n / 4))), value.Str("v")})
 	}
 	return a, b
 }
@@ -35,15 +35,6 @@ func BenchmarkLeftJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if LeftJoin(a, t).Len() == 0 {
 			b.Fatal("empty join")
-		}
-	}
-}
-
-func BenchmarkGroupBy(b *testing.B) {
-	a, _ := benchTables(1000)
-	for i := 0; i < b.N; i++ {
-		if len(a.GroupBy([]string{"y"})) == 0 {
-			b.Fatal("no groups")
 		}
 	}
 }

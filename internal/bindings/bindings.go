@@ -1,19 +1,19 @@
 // Package bindings implements the variable-binding machinery of
 // G-CORE's semantics (§A.1 of the paper): bindings µ are partial
 // functions from variables to graph objects and literals, and binding
-// tables Ω are finite sets of bindings on which the evaluator applies
-// the operators ∪ (union), ⋈ (join), ⋉ (semijoin), ∖ (antijoin) and
-// the left-outer join ⟕ used by OPTIONAL.
+// tables Ω are finite sets of bindings. The evaluator uses the join ⋈
+// and the left-outer join ⟕ of OPTIONAL; the semijoin ⋉ is realised
+// by Join (correlation, and pattern predicates that test a join for
+// non-emptiness), and the antijoin ∖ exists only inside LeftJoin.
 //
 // Tables are stored columnar: the schema interns each variable to a
 // slot index and rows live in one flat row-major []value.Value backing
-// array, with value.Absent marking unbound slots (µ is partial). Merge
-// and row copies are slice copies, and the join family buckets rows by
-// a uint64 hash of the shared slots (value.Value.Hash, consistent with
-// value.Equal) with slot-wise equality confirmation on probe — no
-// per-row maps, no string key building. The map-based Binding type
-// remains the boundary representation: Add accepts it, Rows/RowBinding
-// materialise it, so callers that want µ as a map still get one.
+// array, with value.Absent marking unbound slots (µ is partial). This
+// is the only representation of µ: callers read row i through RowAt,
+// Value or RowKey. Row copies are slice copies, and the join family
+// buckets rows by a uint64 hash of the shared slots (value.Value.Hash,
+// consistent with value.Equal) with slot-wise equality confirmation on
+// probe — no per-row maps, no string key building.
 package bindings
 
 import (
@@ -23,97 +23,6 @@ import (
 
 	"gcore/internal/value"
 )
-
-// Binding is a binding µ: a partial function from variable names to
-// values (node/edge/path references or literals). A variable that is
-// absent from the map is unbound.
-type Binding map[string]value.Value
-
-// Empty is the binding µ∅ with empty domain; it is compatible with
-// every binding and is the unit of the join.
-func Empty() Binding { return Binding{} }
-
-// Clone returns an independent copy of the binding.
-func (b Binding) Clone() Binding {
-	cp := make(Binding, len(b))
-	for k, v := range b {
-		cp[k] = v
-	}
-	return cp
-}
-
-// Vars returns the bound variable names (dom µ) in sorted order.
-func (b Binding) Vars() []string {
-	vs := make([]string, 0, len(b))
-	for v := range b {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
-}
-
-// Compatible reports µ1 ∼ µ2: agreement on every shared variable.
-func Compatible(a, b Binding) bool {
-	// Probe the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; ok && !value.Equal(va, vb) {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns µ1 ∪ µ2 for compatible bindings.
-func Merge(a, b Binding) Binding {
-	out := make(Binding, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// Key returns a canonical string for the binding restricted to vars;
-// unbound variables contribute a distinguished marker. Equal
-// restrictions yield equal keys, and distinct restrictions yield
-// distinct keys: every fragment is length-prefixed, so a string value
-// containing the separator characters cannot collide across slots.
-func (b Binding) Key(vars []string) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		if val, ok := b[v]; ok {
-			frag := val.Key()
-			sb.WriteString(strconv.Itoa(len(frag)))
-			sb.WriteByte(':')
-			sb.WriteString(frag)
-		} else {
-			sb.WriteByte('?')
-		}
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
-// String renders the binding as {x↦v, ...} in variable order.
-func (b Binding) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, v := range b.Vars() {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(v)
-		sb.WriteString("->")
-		sb.WriteString(b[v].String())
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
 
 // Table is a binding table Ω: a set of bindings together with the
 // variables that may occur in them (its schema). The schema is the
@@ -129,15 +38,6 @@ type Table struct {
 	vars []string // sorted
 	data []value.Value
 	n    int
-}
-
-// NewTable creates a table with the given schema and rows.
-func NewTable(vars []string, rows ...Binding) *Table {
-	t := &Table{vars: normVars(vars)}
-	for _, b := range rows {
-		t.Add(b)
-	}
-	return t
 }
 
 // Unit returns the table {µ∅}: one row binding nothing. It is the
@@ -201,17 +101,25 @@ func (t *Table) Value(i int, name string) (value.Value, bool) {
 	return v, true
 }
 
-// RowBinding materialises row i as a map binding (unbound slots are
-// simply absent from the map).
-func (t *Table) RowBinding(i int) Binding {
-	b := make(Binding, len(t.vars))
-	base := i * len(t.vars)
-	for s, v := range t.vars {
-		if val := t.data[base+s]; !val.IsAbsent() {
-			b[v] = val
+// RowKey returns a canonical string for row i over the whole schema:
+// each slot contributes its value.Key fragment, length-prefixed, or
+// the unbound marker '?', and a '|' terminator. Equal rows yield equal
+// keys and distinct rows distinct keys — the length prefix keeps a
+// fragment containing '|' or '?' from colliding across slots.
+func (t *Table) RowKey(i int) string {
+	var sb strings.Builder
+	for _, v := range t.RowAt(i) {
+		if v.IsAbsent() {
+			sb.WriteByte('?')
+		} else {
+			frag := v.Key()
+			sb.WriteString(strconv.Itoa(len(frag)))
+			sb.WriteByte(':')
+			sb.WriteString(frag)
 		}
+		sb.WriteByte('|')
 	}
-	return b
+	return sb.String()
 }
 
 // RowTable returns a one-row table holding exactly the bound variables
@@ -225,37 +133,13 @@ func (t *Table) RowTable(i int) *Table {
 		}
 	}
 	out := &Table{vars: vars} // already sorted: subsequence of a sorted schema
-	for s, v := range t.vars {
-		_ = v
+	for s := range t.vars {
 		if val := t.data[base+s]; !val.IsAbsent() {
 			out.data = append(out.data, val)
 		}
 	}
 	out.n = 1
 	return out
-}
-
-// Rows materialises every row as a map binding. Each call builds fresh
-// maps; callers iterating large tables should prefer RowAt/Value.
-func (t *Table) Rows() []Binding {
-	out := make([]Binding, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.RowBinding(i)
-	}
-	return out
-}
-
-// Add appends a row given as a map binding. Variables outside the
-// schema are dropped (the schema is fixed at table creation).
-func (t *Table) Add(b Binding) {
-	for _, v := range t.vars {
-		if val, ok := b[v]; ok {
-			t.data = append(t.data, val)
-		} else {
-			t.data = append(t.data, value.Absent)
-		}
-	}
-	t.n++
 }
 
 // AppendRow appends one dense row given in slot order (value.Absent
@@ -421,8 +305,7 @@ func (t *Table) rowHash(i int, slots []int) uint64 {
 }
 
 // rowsEqualOn reports slot-wise equality (Absent equals only Absent) —
-// the confirmation step after a hash bucket hit, and row identity for
-// Union/Distinct/GroupBy.
+// the confirmation step after a hash bucket hit.
 func rowsEqualOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []int) bool {
 	ab, bb := i*len(a.vars), j*len(b.vars)
 	for k := range aSlots {
@@ -449,26 +332,23 @@ func rowsCompatibleOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []i
 	return true
 }
 
-// appendLegacyOrderKey appends the pre-columnar Binding.Key encoding
-// of the listed slots: value.Key fragments (or '?') joined by '|'.
-// It is NOT collision-free and is used only for ordering — Sorted and
-// group ordering must keep producing byte-identical output, and the
-// historical order is the lexicographic order of exactly this string.
-func (t *Table) appendLegacyOrderKey(sb *strings.Builder, i int, slots []int) {
+// legacyOrderKey returns the pre-columnar row key of the listed
+// slots: value.Key fragments (or '?') joined by '|'. It is NOT
+// collision-free (RowKey is) and is used only for ordering — Sorted
+// and the join's unbound-probe order must keep producing
+// byte-identical output, and the historical order is the
+// lexicographic order of exactly this string.
+func (t *Table) legacyOrderKey(i int, slots []int) string {
+	var sb strings.Builder
 	base := i * len(t.vars)
 	for _, s := range slots {
 		if v := t.data[base+s]; v.IsAbsent() {
 			sb.WriteByte('?')
 		} else {
-			v.AppendKeyTo(sb)
+			v.AppendKeyTo(&sb)
 		}
 		sb.WriteByte('|')
 	}
-}
-
-func (t *Table) legacyOrderKey(i int, slots []int) string {
-	var sb strings.Builder
-	t.appendLegacyOrderKey(&sb, i, slots)
 	return sb.String()
 }
 
@@ -530,58 +410,6 @@ func (m *matcher) denseInKeyOrder() []int {
 	}
 	m.denseSorted = sorted
 	return m.denseSorted
-}
-
-// Union returns Ω1 ∪ Ω2 (duplicate rows are collapsed: Ω is a set).
-func Union(a, b *Table) *Table {
-	out := &Table{vars: unionVars(a, b)}
-	w := len(out.vars)
-	tmpl := absentTemplate(w)
-	outSlots := make([]int, w)
-	for i := range outSlots {
-		outSlots[i] = i
-	}
-	seen := map[uint64][]int{}
-	scratch := make([]value.Value, w)
-	for _, t := range []*Table{a, b} {
-		mapTo := slotMapping(t.vars, out.vars)
-		tw := len(t.vars)
-		for i := 0; i < t.n; i++ {
-			copy(scratch, tmpl)
-			src := t.data[i*tw : (i+1)*tw]
-			for s, v := range src {
-				scratch[mapTo[s]] = v
-			}
-			h := value.HashSeed()
-			for _, v := range scratch {
-				h = v.Hash(h)
-			}
-			dup := false
-			for _, j := range seen[h] {
-				if rowScratchEqual(out, j, scratch) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[h] = append(seen[h], out.n)
-			out.data = append(out.data, scratch...)
-			out.n++
-		}
-	}
-	return out
-}
-
-func rowScratchEqual(t *Table, i int, scratch []value.Value) bool {
-	base := i * len(t.vars)
-	for s, v := range scratch {
-		if !value.Equal(t.data[base+s], v) {
-			return false
-		}
-	}
-	return true
 }
 
 // Join returns Ω1 ⋈ Ω2 = {µ1 ∪ µ2 | µ1 ∼ µ2}.
@@ -697,71 +525,6 @@ func joinCore(a, b *Table, max int, left bool) (*Table, int, bool) {
 	return out, a.n, false
 }
 
-// SemiJoin returns Ω1 ⋉ Ω2 = {µ1 | ∃µ2 ∈ Ω2 : µ1 ∼ µ2}.
-func SemiJoin(a, b *Table) *Table {
-	return semi(a, b, true)
-}
-
-// AntiJoin returns Ω1 ∖ Ω2 = {µ1 | ∄µ2 ∈ Ω2 : µ1 ∼ µ2}.
-func AntiJoin(a, b *Table) *Table {
-	return semi(a, b, false)
-}
-
-func semi(a, b *Table, keepMatched bool) *Table {
-	out := &Table{vars: a.vars}
-	shared := sharedVars(a, b)
-	aS, bS := slotsOf(a, shared), slotsOf(b, shared)
-	m := newMatcher(b, shared)
-	aw := len(a.vars)
-	for i := 0; i < a.n; i++ {
-		matched := false
-		if a.rowBoundAll(i, aS) {
-			h := a.rowHash(i, aS)
-			for _, j := range m.buckets[h] {
-				if rowsEqualOn(a, i, aS, b, j, bS) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				for _, j := range m.loose {
-					if rowsCompatibleOn(a, i, aS, b, j, bS) {
-						matched = true
-						break
-					}
-				}
-			}
-		} else {
-			for j := 0; j < b.n && !matched; j++ {
-				matched = rowsCompatibleOn(a, i, aS, b, j, bS)
-			}
-		}
-		if matched == keepMatched {
-			out.data = append(out.data, a.data[i*aw:(i+1)*aw]...)
-			out.n++
-		}
-	}
-	return out
-}
-
-// Filter keeps the rows for which pred returns true; the first error
-// aborts. The predicate receives each row materialised as a map.
-func (t *Table) Filter(pred func(Binding) (bool, error)) (*Table, error) {
-	out := &Table{vars: t.vars}
-	w := len(t.vars)
-	for i := 0; i < t.n; i++ {
-		ok, err := pred(t.RowBinding(i))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.data = append(out.data, t.data[i*w:(i+1)*w]...)
-			out.n++
-		}
-	}
-	return out, nil
-}
-
 // Project restricts every row (and the schema) to vars.
 func (t *Table) Project(vars []string) *Table {
 	keep := normVars(vars)
@@ -785,35 +548,6 @@ func (t *Table) Project(vars []string) *Table {
 	return out
 }
 
-// Distinct collapses duplicate rows (slot-wise equality; unbound
-// equals only unbound), keeping first occurrences in order.
-func (t *Table) Distinct() *Table {
-	out := &Table{vars: t.vars}
-	w := len(t.vars)
-	all := make([]int, w)
-	for i := range all {
-		all[i] = i
-	}
-	seen := map[uint64][]int{}
-	for i := 0; i < t.n; i++ {
-		h := t.rowHash(i, all)
-		dup := false
-		for _, j := range seen[h] {
-			if rowsEqualOn(t, i, all, t, j, all) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], i)
-		out.data = append(out.data, t.data[i*w:(i+1)*w]...)
-		out.n++
-	}
-	return out
-}
-
 // Sorted returns a copy whose rows are in canonical order — the
 // lexicographic order of the legacy row keys over the schema, which
 // is what deterministic output has always used ("N1" < "N10" < "N2").
@@ -832,116 +566,6 @@ func (t *Table) Sorted() *Table {
 	}
 	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
 	return t.Pick(perm)
-}
-
-// Group is one equivalence class of grp(Ω, g) (§A.3): the rows of Ω
-// that agree on the grouping variables, with Key the projection
-// Ω′(Γ).
-type Group struct {
-	Key  Binding
-	Rows []Binding
-}
-
-// GroupBy partitions the table by the grouping set Γ. Groups are
-// returned in canonical key order. Rows that leave a grouping variable
-// unbound group under the unbound marker, mirroring how Ω′(x) may be
-// undefined in §A.3.
-func (t *Table) GroupBy(gamma []string) []Group {
-	gs := normVars(gamma)
-	slots := make([]int, 0, len(gs))
-	missing := 0
-	for _, v := range gs {
-		if s := t.SlotOf(v); s >= 0 {
-			slots = append(slots, s)
-		} else {
-			missing++ // grouping var outside the schema: always unbound
-		}
-	}
-	type grp struct {
-		rep  int
-		rows []int
-	}
-	var groups []grp
-	idx := map[uint64][]int{}
-	for i := 0; i < t.n; i++ {
-		h := t.rowHash(i, slots)
-		gi := -1
-		for _, j := range idx[h] {
-			if rowsEqualOn(t, i, slots, t, groups[j].rep, slots) {
-				gi = j
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			idx[h] = append(idx[h], gi)
-			groups = append(groups, grp{rep: i})
-		}
-		groups[gi].rows = append(groups[gi].rows, i)
-	}
-	// Order groups by the legacy key of the representative restricted
-	// to Γ (missing grouping vars contribute the unbound marker), the
-	// historical canonical order.
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		var sb strings.Builder
-		t.appendLegacyOrderKey(&sb, g.rep, slots)
-		for k := 0; k < missing; k++ {
-			sb.WriteString("?|")
-		}
-		keys[i] = sb.String()
-	}
-	perm := make([]int, len(groups))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
-	out := make([]Group, len(groups))
-	for oi, pi := range perm {
-		g := groups[pi]
-		key := Binding{}
-		base := g.rep * len(t.vars)
-		for k, v := range gs {
-			_ = k
-			if s := t.SlotOf(v); s >= 0 {
-				if val := t.data[base+s]; !val.IsAbsent() {
-					key[v] = val
-				}
-			}
-		}
-		rows := make([]Binding, len(g.rows))
-		for k, ri := range g.rows {
-			rows[k] = t.RowBinding(ri)
-		}
-		out[oi] = Group{Key: key, Rows: rows}
-	}
-	return out
-}
-
-// AddVars widens the schema (used when the evaluator introduces
-// variables such as construct variables); existing rows leave the new
-// variables unbound.
-func (t *Table) AddVars(vars ...string) {
-	nv := normVars(append(append([]string(nil), t.vars...), vars...))
-	if len(nv) == len(t.vars) {
-		t.vars = nv
-		return
-	}
-	mapTo := slotMapping(t.vars, nv)
-	nw := len(nv)
-	nd := make([]value.Value, t.n*nw)
-	for i := range nd {
-		nd[i] = value.Absent
-	}
-	w := len(t.vars)
-	for i := 0; i < t.n; i++ {
-		src := t.data[i*w : (i+1)*w]
-		dst := nd[i*nw : (i+1)*nw]
-		for s, v := range src {
-			dst[mapTo[s]] = v
-		}
-	}
-	t.vars, t.data = nv, nd
 }
 
 // String renders the table for diagnostics: header then rows in

@@ -10,10 +10,10 @@ import (
 	"gcore/internal/value"
 )
 
-// Tests for the columnar table layout: Key injectivity (the '|'-join
-// collision hazard), hash/key consistency, and exact-sequence
-// agreement of the hashed operators with a naive reference that
-// replays the legacy nested-loop algorithm, over randomized tables
+// Tests for the columnar table layout: RowKey injectivity (the
+// '|'-join collision hazard), hash/key consistency, and exact-sequence
+// agreement of the hashed joins with a naive reference that replays
+// the legacy nested-loop algorithm over map rows, on randomized tables
 // with unbound slots and adversarial string values.
 
 // adversarialVals contains values whose Key fragments contain the
@@ -39,18 +39,19 @@ var adversarialVals = []value.Value{
 	value.List(value.Int(1), value.Str("|")),
 }
 
-// TestKeyInjectiveAdversarial: two bindings have the same Key over
-// vars iff they agree (bound-ness and value) on every var. The old
-// encoding joined raw fragments with '|' and wrote a bare '?' for
-// unbound vars, so fragments containing those bytes could collide
+// TestKeyInjectiveAdversarial: two rows have the same RowKey iff they
+// agree (bound-ness and value) on every var, and the key is the
+// length-prefixed encoding construct grouping has always sorted on.
+// The old encoding joined raw fragments with '|' and wrote a bare '?'
+// for unbound vars, so fragments containing those bytes could collide
 // across variable boundaries; the length prefix makes the encoding
 // injective for arbitrary fragments.
 func TestKeyInjectiveAdversarial(t *testing.T) {
 	vars := []string{"x", "y", "z"}
-	// All bindings over vars with each slot unbound or any adversarial
+	// All rows over vars with each slot unbound or any adversarial
 	// value would be 18^3; sample instead, plus a few crafted pairs.
-	gen := func(r *rand.Rand) Binding {
-		b := Binding{}
+	gen := func(r *rand.Rand) mrow {
+		b := mrow{}
 		for _, v := range vars {
 			if i := r.Intn(len(adversarialVals) + 1); i > 0 {
 				b[v] = adversarialVals[i-1]
@@ -58,34 +59,28 @@ func TestKeyInjectiveAdversarial(t *testing.T) {
 		}
 		return b
 	}
-	sameOn := func(a, b Binding) bool {
-		for _, v := range vars {
-			av, aok := a[v]
-			bv, bok := b[v]
-			if aok != bok || (aok && !value.Equal(av, bv)) {
-				return false
-			}
-		}
-		return true
+	keys := func(a, b mrow) (string, string) {
+		tbl := tableOf(vars, a, b)
+		return tbl.RowKey(0), tbl.RowKey(1)
 	}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		a, b := gen(r), gen(r)
-		if (a.Key(vars) == b.Key(vars)) != sameOn(a, b) {
-			t.Fatalf("Key collision or miss:\na=%v key=%q\nb=%v key=%q", a, a.Key(vars), b, b.Key(vars))
+		ka, kb := keys(a, b)
+		if (ka == kb) != refEqualOn(a, b, vars) {
+			t.Fatalf("RowKey collision or miss:\na=%v key=%q\nb=%v key=%q", a, ka, b, kb)
+		}
+		if ka != refKey(a, vars) {
+			t.Fatalf("RowKey(%v) = %q, want %q", a, ka, refKey(a, vars))
 		}
 	}
 	// The historical hazard, spelled out: moving a separator across a
 	// variable boundary must change the key.
-	p1 := Binding{"x": value.Str("a|b"), "y": value.Str("c")}
-	p2 := Binding{"x": value.Str("a"), "y": value.Str("b|c")}
-	if p1.Key(vars) == p2.Key(vars) {
+	if k1, k2 := keys(mrow{"x": value.Str("a|b"), "y": value.Str("c")}, mrow{"x": value.Str("a"), "y": value.Str("b|c")}); k1 == k2 {
 		t.Fatal("separator smuggled across variable boundary")
 	}
 	// A bound '?'-like string must not collide with an unbound slot.
-	q1 := Binding{"x": value.Str("?")}
-	q2 := Binding{}
-	if q1.Key(vars) == q2.Key(vars) {
+	if k1, k2 := keys(mrow{"x": value.Str("?")}, mrow{}); k1 == k2 {
 		t.Fatal("bound \"?\" collides with unbound slot")
 	}
 }
@@ -96,11 +91,11 @@ func FuzzKeyInjective(f *testing.F) {
 	f.Add("?", "x", "", "?|x")
 	f.Add("2:ab", "", "2", ":ab")
 	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 string) {
-		vars := []string{"x", "y"}
-		a := Binding{"x": value.Str(x1), "y": value.Str(y1)}
-		b := Binding{"x": value.Str(x2), "y": value.Str(y2)}
+		tbl := tableOf([]string{"x", "y"},
+			mrow{"x": value.Str(x1), "y": value.Str(y1)},
+			mrow{"x": value.Str(x2), "y": value.Str(y2)})
 		same := x1 == x2 && y1 == y2
-		if (a.Key(vars) == b.Key(vars)) != same {
+		if (tbl.RowKey(0) == tbl.RowKey(1)) != same {
 			t.Fatalf("injectivity broken: %q/%q vs %q/%q", x1, y1, x2, y2)
 		}
 	})
@@ -109,7 +104,8 @@ func FuzzKeyInjective(f *testing.F) {
 // TestHashMatchesKey: the FNV hash and the Key encoding must agree on
 // what is equal — equal keys hash equal (else hashed joins split a
 // bucket the string-keyed code would share), and unequal keys should
-// essentially never collide over the small test domain.
+// essentially never collide over the small test domain. The same holds
+// row-wise: equal RowKeys imply equal row hashes.
 func TestHashMatchesKey(t *testing.T) {
 	seed := value.HashSeed()
 	for _, a := range adversarialVals {
@@ -129,11 +125,23 @@ func TestHashMatchesKey(t *testing.T) {
 	if value.Float(2).Hash(seed) != value.Int(2).Hash(seed) {
 		t.Fatal("integral float must hash like the equal int")
 	}
+	tbl := tableOf([]string{"x", "y"},
+		mrow{"x": value.Float(2), "y": value.Str("|")},
+		mrow{"x": value.Int(2), "y": value.Str("|")},
+		mrow{"x": value.Int(2)})
+	all := []int{0, 1}
+	for i := 0; i < tbl.Len(); i++ {
+		for j := 0; j < tbl.Len(); j++ {
+			if (tbl.RowKey(i) == tbl.RowKey(j)) != (tbl.rowHash(i, all) == tbl.rowHash(j, all)) {
+				t.Fatalf("rows %d/%d: RowKey and row hash disagree", i, j)
+			}
+		}
+	}
 }
 
 // --- naive reference: the legacy nested-loop operators ---------------
 
-func refLegacyKey(b Binding, vars []string) string {
+func refLegacyKey(b mrow, vars []string) string {
 	var sb strings.Builder
 	for _, v := range vars {
 		if val, ok := b[v]; ok {
@@ -146,7 +154,7 @@ func refLegacyKey(b Binding, vars []string) string {
 	return sb.String()
 }
 
-func refBoundAll(b Binding, vars []string) bool {
+func refBoundAll(b mrow, vars []string) bool {
 	for _, v := range vars {
 		if _, ok := b[v]; !ok {
 			return false
@@ -155,7 +163,7 @@ func refBoundAll(b Binding, vars []string) bool {
 	return true
 }
 
-func refEqualOn(a, b Binding, vars []string) bool {
+func refEqualOn(a, b mrow, vars []string) bool {
 	for _, v := range vars {
 		av, aok := a[v]
 		bv, bok := b[v]
@@ -180,26 +188,26 @@ func refShared(a, b *Table) []string {
 // a probe bound on all shared vars sees the matching dense rows in
 // insertion order then the loose rows; an unbound probe sees the
 // loose rows then every dense row in canonical key order.
-func refJoinRows(a, b *Table, left bool) []Binding {
+func refJoinRows(a, b *Table, left bool) []mrow {
 	shared := refShared(a, b)
-	var dense, loose []Binding
-	for _, r := range b.Rows() {
+	var dense, loose []mrow
+	for _, r := range rowsOf(b) {
 		if refBoundAll(r, shared) {
 			dense = append(dense, r)
 		} else {
 			loose = append(loose, r)
 		}
 	}
-	denseSorted := append([]Binding(nil), dense...)
+	denseSorted := append([]mrow(nil), dense...)
 	sort.SliceStable(denseSorted, func(i, j int) bool {
 		return refLegacyKey(denseSorted[i], shared) < refLegacyKey(denseSorted[j], shared)
 	})
-	var out []Binding
-	for _, l := range a.Rows() {
+	var out []mrow
+	for _, l := range rowsOf(a) {
 		matched := false
-		emit := func(r Binding) {
+		emit := func(r mrow) {
 			matched = true
-			out = append(out, Merge(l, r))
+			out = append(out, merge(l, r))
 		}
 		if refBoundAll(l, shared) {
 			for _, r := range dense {
@@ -208,89 +216,27 @@ func refJoinRows(a, b *Table, left bool) []Binding {
 				}
 			}
 			for _, r := range loose {
-				if Compatible(l, r) {
+				if compatible(l, r) {
 					emit(r)
 				}
 			}
 		} else {
 			for _, r := range loose {
-				if Compatible(l, r) {
+				if compatible(l, r) {
 					emit(r)
 				}
 			}
 			for _, r := range denseSorted {
-				if Compatible(l, r) {
+				if compatible(l, r) {
 					emit(r)
 				}
 			}
 		}
 		if left && !matched {
-			out = append(out, l.Clone())
+			out = append(out, l)
 		}
 	}
 	return out
-}
-
-func refDistinctRows(t *Table) []Binding {
-	var out []Binding
-	for _, r := range t.Rows() {
-		dup := false
-		for _, s := range out {
-			if refEqualOn(r, s, t.Vars()) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func refUnionRows(a, b *Table, vars []string) []Binding {
-	var out []Binding
-	for _, t := range []*Table{a, b} {
-		for _, r := range t.Rows() {
-			dup := false
-			for _, s := range out {
-				if refEqualOn(r, s, vars) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
-type refGroup struct {
-	rep  Binding
-	rows []Binding
-}
-
-func refGroupBy(t *Table, gamma []string) []refGroup {
-	var groups []refGroup
-	for _, r := range t.Rows() {
-		found := false
-		for i := range groups {
-			if refEqualOn(groups[i].rep, r, gamma) {
-				groups[i].rows = append(groups[i].rows, r)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, refGroup{rep: r, rows: []Binding{r}})
-		}
-	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		return refLegacyKey(groups[i].rep, gamma) < refLegacyKey(groups[j].rep, gamma)
-	})
-	return groups
 }
 
 // --- generators ------------------------------------------------------
@@ -311,34 +257,33 @@ func propVars(r *rand.Rand) []string {
 }
 
 func propTable(r *rand.Rand, vars []string) *Table {
-	t := EmptyTable(vars...)
-	n := r.Intn(7)
-	for i := 0; i < n; i++ {
-		b := Binding{}
+	rows := make([]mrow, r.Intn(7))
+	for i := range rows {
+		b := mrow{}
 		for _, v := range vars {
 			if j := r.Intn(len(adversarialVals) + 4); j < len(adversarialVals) {
 				b[v] = adversarialVals[j]
 			}
 			// else: leave the slot unbound
 		}
-		t.Add(b)
+		rows[i] = b
 	}
-	return t
+	return tableOf(vars, rows...)
 }
 
-func sameRows(got *Table, want []Binding, vars []string) bool {
+func sameRows(got *Table, want []mrow, vars []string) bool {
 	if got.Len() != len(want) {
 		return false
 	}
 	for i := 0; i < got.Len(); i++ {
-		if !refEqualOn(got.RowBinding(i), want[i], vars) {
+		if !refEqualOn(rowOf(got, i), want[i], vars) {
 			return false
 		}
 	}
 	return true
 }
 
-func dumpRows(rows []Binding) string {
+func dumpRows(rows []mrow) string {
 	var sb strings.Builder
 	for _, r := range rows {
 		sb.WriteString(r.String())
@@ -350,7 +295,7 @@ func dumpRows(rows []Binding) string {
 func dumpTable(t *Table) string {
 	var sb strings.Builder
 	for i := 0; i < t.Len(); i++ {
-		sb.WriteString(t.RowBinding(i).String())
+		sb.WriteString(rowOf(t, i).String())
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -375,89 +320,6 @@ func TestColumnarJoinMatchesReference(t *testing.T) {
 	}
 }
 
-// TestColumnarSemiAntiMatchReference: the existence operators keep the
-// exact probe-side sequence.
-func TestColumnarSemiAntiMatchReference(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 400; i++ {
-		a := propTable(r, propVars(r))
-		b := propTable(r, propVars(r))
-		var wantSemi, wantAnti []Binding
-		for _, l := range a.Rows() {
-			matched := false
-			for _, rr := range b.Rows() {
-				if Compatible(l, rr) {
-					matched = true
-					break
-				}
-			}
-			if matched {
-				wantSemi = append(wantSemi, l)
-			} else {
-				wantAnti = append(wantAnti, l)
-			}
-		}
-		if got := SemiJoin(a, b); !sameRows(got, wantSemi, a.Vars()) {
-			t.Fatalf("case %d: SemiJoin diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(wantSemi))
-		}
-		if got := AntiJoin(a, b); !sameRows(got, wantAnti, a.Vars()) {
-			t.Fatalf("case %d: AntiJoin diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(wantAnti))
-		}
-	}
-}
-
-// TestColumnarDistinctUnionMatchReference: set semantics dedup by row
-// equality (unbound == unbound), keeping first occurrences in order.
-func TestColumnarDistinctUnionMatchReference(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for i := 0; i < 400; i++ {
-		a := propTable(r, propVars(r))
-		b := propTable(r, propVars(r))
-		all := normVars(append(append([]string(nil), a.Vars()...), b.Vars()...))
-		if got, want := a.Distinct(), refDistinctRows(a); !sameRows(got, want, a.Vars()) {
-			t.Fatalf("case %d: Distinct diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(want))
-		}
-		if got, want := Union(a, b), refUnionRows(a, b, all); !sameRows(got, want, all) {
-			t.Fatalf("case %d: Union diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(want))
-		}
-	}
-}
-
-// TestColumnarGroupByMatchesReference: group identity, group order and
-// within-group row order all match the reference.
-func TestColumnarGroupByMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for i := 0; i < 400; i++ {
-		vars := propVars(r)
-		a := propTable(r, vars)
-		gamma := vars[:r.Intn(len(vars)+1)]
-		got := a.GroupBy(gamma)
-		want := refGroupBy(a, normVars(gamma))
-		if len(got) != len(want) {
-			t.Fatalf("case %d: %d groups, want %d", i, len(got), len(want))
-		}
-		for gi := range got {
-			wantKey := Binding{}
-			for _, v := range normVars(gamma) {
-				if val, ok := want[gi].rep[v]; ok {
-					wantKey[v] = val
-				}
-			}
-			if !refEqualOn(got[gi].Key, wantKey, normVars(gamma)) {
-				t.Fatalf("case %d group %d: key %v, want %v", i, gi, got[gi].Key, wantKey)
-			}
-			if len(got[gi].Rows) != len(want[gi].rows) {
-				t.Fatalf("case %d group %d: %d rows, want %d", i, gi, len(got[gi].Rows), len(want[gi].rows))
-			}
-			for ri := range got[gi].Rows {
-				if !refEqualOn(got[gi].Rows[ri], want[gi].rows[ri], vars) {
-					t.Fatalf("case %d group %d row %d diverged", i, gi, ri)
-				}
-			}
-		}
-	}
-}
-
 // TestQuickSortedCanonicalOrder: Sorted orders rows by the canonical
 // '|'-joined key the legacy code used, so serialized output (which is
 // what the differential suites pin) is unchanged.
@@ -467,7 +329,7 @@ func TestQuickSortedCanonicalOrder(t *testing.T) {
 		a := propTable(r, propVars(r))
 		s := a.Sorted()
 		for i := 1; i < s.Len(); i++ {
-			if refLegacyKey(s.RowBinding(i-1), a.Vars()) > refLegacyKey(s.RowBinding(i), a.Vars()) {
+			if refLegacyKey(rowOf(s, i-1), a.Vars()) > refLegacyKey(rowOf(s, i), a.Vars()) {
 				return false
 			}
 		}

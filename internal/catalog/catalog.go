@@ -229,24 +229,14 @@ func (c *Catalog) Resolve(name string) (*ppg.Graph, error) {
 	return nil, fmt.Errorf("catalog: unknown graph %q (known graphs: %v)", name, c.GraphNames())
 }
 
-// BindingTable converts a registered table into variable bindings for
-// the FROM clause (§5, lines 76–80): column names become variables.
-func (c *Catalog) BindingTable(name string) ([]map[string]value.Value, []string, error) {
+// BindingTable returns a registered table's columns and positional
+// rows for the FROM clause (§5, lines 76–80): column names become
+// variables, and a NULL cell leaves its variable unbound. The rows
+// alias the registered table and must not be modified.
+func (c *Catalog) BindingTable(name string) ([]string, [][]value.Value, error) {
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("catalog: unknown binding table %q", name)
 	}
-	rows := make([]map[string]value.Value, 0, len(t.Rows))
-	for _, row := range t.Rows {
-		// Sized by the column count: every binding holds at most one
-		// entry per column, and rows with no NULLs hold exactly that.
-		b := make(map[string]value.Value, len(t.Cols))
-		for i, col := range t.Cols {
-			if !row[i].IsNull() {
-				b[col] = row[i]
-			}
-		}
-		rows = append(rows, b)
-	}
-	return rows, append([]string(nil), t.Cols...), nil
+	return append([]string(nil), t.Cols...), t.Rows, nil
 }

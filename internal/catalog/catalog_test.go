@@ -150,15 +150,15 @@ func TestBindingTable(t *testing.T) {
 	if err := c.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	rows, cols, err := c.BindingTable("t")
+	cols, rows, err := c.BindingTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 2 || len(rows) != 1 {
+	if len(cols) != 2 || cols[0] != "x" || cols[1] != "y" || len(rows) != 1 {
 		t.Fatalf("binding table = %v, %v", cols, rows)
 	}
-	if _, bound := rows[0]["y"]; bound {
-		t.Error("null cell must be unbound")
+	if !value.Equal(rows[0][0], value.Int(1)) || !rows[0][1].IsNull() {
+		t.Errorf("row = %v, want positional [1 NULL]", rows[0])
 	}
 	if _, _, err := c.BindingTable("missing"); err == nil {
 		t.Error("unknown binding table must fail")

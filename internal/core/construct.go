@@ -81,21 +81,11 @@ type itemCtx struct {
 }
 
 func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *bindings.Table, graphs []*ppg.Graph) (*ppg.Graph, error) {
-	rows := tbl.Rows()
-	schema := tbl.Vars()
 	out := ppg.New("")
 	env := c.newEnv(s, graphs, nil)
 	env.constructed = out
-	env.groupSchema = schema
-
-	// rowBind maps each row index to the construct-variable bindings
-	// produced for it (node, edge and path identities); it is shared
-	// by all pattern items so repeated construct variables denote the
-	// same identities.
-	rowBind := make([]bindings.Binding, len(rows))
-	for i := range rowBind {
-		rowBind[i] = bindings.Binding{}
-	}
+	env.groupSchema = tbl.Vars()
+	cons := constructCols{}
 
 	ics := make([]*itemCtx, len(items))
 	for i, item := range items {
@@ -127,10 +117,10 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		gp := ic.item.Pattern
 		for ni, np := range gp.Nodes {
 			varName := ic.names.node[ni]
-			if rowBindHasVar(rowBind, varName) {
+			if cons.has(varName) {
 				continue // defined by an earlier occurrence: reference
 			}
-			groups, err := c.groupFor(env, rows, np.Var, np.Group, schema, tbl)
+			groups, err := c.groupFor(env, tbl, np.Var, np.Group)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +128,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 					return nil, err
 				}
-				rep := rows[grp.rows[0]]
+				rep := grp.rows[0]
 				var (
 					id     ppg.NodeID
 					labels ppg.Labels
@@ -147,7 +137,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				bound := np.Var != "" && tbl.HasVar(np.Var)
 				switch {
 				case bound && !np.Copy:
-					ref, ok := rep[np.Var]
+					ref, ok := tbl.Value(rep, np.Var)
 					if !ok {
 						continue // Ω′(x) undefined → G∅ for this group
 					}
@@ -163,7 +153,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 						labels, props = ppg.Labels{}, ppg.Properties{}
 					}
 				case np.Copy:
-					ref, ok := rep[np.Var]
+					ref, ok := tbl.Value(rep, np.Var)
 					if !ok {
 						continue
 					}
@@ -182,7 +172,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					labels, props = ppg.Labels{}, ppg.Properties{}
 				}
 				labels = addPatternLabels(labels, np.Labels)
-				if err := c.applyAssignments(env, rows, grp.rows, varName, &labels, props, np.Props, ic.extra[varName]); err != nil {
+				if err := c.applyAssignments(env, tbl, grp.rows, &labels, props, np.Props, ic.extra[varName]); err != nil {
 					return nil, err
 				}
 				if err := c.gov.AddResults(1); err != nil {
@@ -190,9 +180,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				}
 				ensureNode(out, &ppg.Node{ID: id, Labels: labels, Props: props})
 				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), varName: varName, rows: grp.rows})
-				for _, ri := range grp.rows {
-					rowBind[ri][varName] = value.NodeRef(uint64(id))
-				}
+				cons.set(varName, grp.rows, value.NodeRef(uint64(id)), tbl.Len())
 			}
 		}
 	}
@@ -202,11 +190,11 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		for li, link := range ic.item.Pattern.Links {
 			switch ep := link.(type) {
 			case *ast.EdgePattern:
-				if err := c.constructEdge(env, out, ep, ic.names, li, rows, rowBind, tbl, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructEdge(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
 					return nil, err
 				}
 			case *ast.PathPattern:
-				if err := c.constructPath(env, out, ep, ic.names, li, rows, rowBind, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructPath(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
 					return nil, err
 				}
 			}
@@ -214,30 +202,98 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 	}
 
 	// ---- phase 3: WHEN, per item, then one rebuild ----
+	// WHEN sees each binding extended by its construct identities.
+	var extended *bindings.Table
 	dropped := map[string]bool{}
-	anyWhen := false
 	for _, ic := range ics {
 		if ic.item.When == nil {
 			continue
 		}
-		anyWhen = true
-		if err := c.whenDrops(env, ic.item.When, ic.objects, rows, rowBind, schema, dropped); err != nil {
+		if extended == nil {
+			extended = cons.extend(tbl)
+		}
+		if err := c.whenDrops(env, ic.item.When, ic.objects, extended, dropped); err != nil {
 			return nil, err
 		}
 	}
-	if anyWhen {
+	if extended != nil {
 		return rebuildWithoutDropped(out, dropped)
 	}
 	return out, nil
 }
 
-func rowBindHasVar(rowBind []bindings.Binding, v string) bool {
-	for _, b := range rowBind {
-		if _, ok := b[v]; ok {
-			return true
-		}
+// constructCols holds the construct-variable identities (node, edge
+// and path refs) produced for the binding rows: one column per
+// variable, value.Absent where a row produced none. All pattern items
+// share it, so repeated construct variables denote the same
+// identities. A column exists once some row binds its variable.
+type constructCols map[string][]value.Value
+
+func (cc constructCols) has(v string) bool {
+	_, ok := cc[v]
+	return ok
+}
+
+func (cc constructCols) get(v string, ri int) (value.Value, bool) {
+	col, ok := cc[v]
+	if !ok || col[ri].IsAbsent() {
+		return value.Null, false
 	}
-	return false
+	return col[ri], true
+}
+
+// set binds v to ref in the given rows of an n-row table.
+func (cc constructCols) set(v string, rows []int, ref value.Value, n int) {
+	col, ok := cc[v]
+	if !ok {
+		col = make([]value.Value, n)
+		for i := range col {
+			col[i] = value.Absent
+		}
+		cc[v] = col
+	}
+	for _, ri := range rows {
+		col[ri] = ref
+	}
+}
+
+// extend returns tbl widened by the construct columns, a construct
+// identity replacing the match value of the same variable (µ ∪ the
+// row's construct bindings, construct side winning).
+func (cc constructCols) extend(tbl *bindings.Table) *bindings.Table {
+	vars := append([]string(nil), tbl.Vars()...)
+	for v := range cc {
+		vars = append(vars, v)
+	}
+	out := bindings.EmptyTable(vars...)
+	inToOut := make([]int, tbl.Width())
+	for s, v := range tbl.Vars() {
+		inToOut[s] = out.SlotOf(v)
+	}
+	type column struct {
+		slot int
+		vals []value.Value
+	}
+	cols := make([]column, 0, len(cc))
+	for v, vals := range cc {
+		cols = append(cols, column{out.SlotOf(v), vals})
+	}
+	row := make([]value.Value, out.Width())
+	for ri := 0; ri < tbl.Len(); ri++ {
+		for s := range row {
+			row[s] = value.Absent
+		}
+		for s, v := range tbl.RowAt(ri) {
+			row[inToOut[s]] = v
+		}
+		for _, col := range cols {
+			if v := col.vals[ri]; !v.IsAbsent() {
+				row[col.slot] = v
+			}
+		}
+		out.AppendRow(row)
+	}
+	return out
 }
 
 // objGroup is one grouped equivalence class (indexes into rows).
@@ -249,42 +305,42 @@ type objGroup struct {
 // groupFor computes grp(Ω, g) for a construct element: identity
 // grouping for bound variables, explicit GROUP expressions, or
 // per-binding grouping for unbound variables.
-func (c *evalCtx) groupFor(env *env, rows []bindings.Binding, varName string, groupExprs []ast.Expr, schema []string, tbl *bindings.Table) ([]objGroup, error) {
-	keyFn := func(b bindings.Binding) (string, bool, error) {
+func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupExprs []ast.Expr) ([]objGroup, error) {
+	savedTab, savedIdx := env.rowTab, env.rowIdx
+	defer func() { env.rowTab, env.rowIdx = savedTab, savedIdx }()
+	return groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
 		switch {
 		case len(groupExprs) > 0:
 			var sb strings.Builder
-			saved := env.row
-			env.row = b
+			env.rowTab, env.rowIdx = tbl, ri
 			for _, ge := range groupExprs {
 				v, err := env.eval(ge)
 				if err != nil {
-					env.row = saved
 					return "", false, err
 				}
 				sb.WriteString(v.Key())
 				sb.WriteByte('|')
 			}
-			env.row = saved
 			return sb.String(), true, nil
 		case varName != "" && tbl.HasVar(varName):
-			v, ok := b[varName]
+			v, ok := tbl.Value(ri, varName)
 			if !ok {
 				return "", false, nil // undefined identity: skip row
 			}
 			return v.Key(), true, nil
 		default:
-			return b.Key(schema), true, nil
+			return tbl.RowKey(ri), true, nil
 		}
-	}
-	return groupIndexes(rows, keyFn)
+	})
 }
 
-func groupIndexes(rows []bindings.Binding, keyFn func(bindings.Binding) (string, bool, error)) ([]objGroup, error) {
+// groupIndexes partitions rows 0..n-1 by keyFn (rows it rejects join
+// no group) and returns the groups in key order.
+func groupIndexes(n int, keyFn func(ri int) (string, bool, error)) ([]objGroup, error) {
 	idx := map[string]int{}
 	var groups []objGroup
-	for i, r := range rows {
-		k, ok, err := keyFn(r)
+	for ri := 0; ri < n; ri++ {
+		k, ok, err := keyFn(ri)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +353,7 @@ func groupIndexes(rows []bindings.Binding, keyFn func(bindings.Binding) (string,
 			idx[k] = gi
 			groups = append(groups, objGroup{key: k})
 		}
-		groups[gi].rows = append(groups[gi].rows, i)
+		groups[gi].rows = append(groups[gi].rows, ri)
 	}
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	return groups, nil
@@ -313,20 +369,10 @@ func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
 }
 
 // applyAssignments evaluates {k := e}, SET and REMOVE for one
-// constructed object over its group.
-func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []int, varName string, labels *ppg.Labels, props ppg.Properties, inline []*ast.PropSpec, a *assignSet) error {
-	groupRows := make([]bindings.Binding, len(grpRows))
-	for i, ri := range grpRows {
-		groupRows[i] = rows[ri]
-	}
-	savedRows, savedRow := env.groupRows, env.row
-	env.groupRows = groupRows
-	if len(groupRows) > 0 {
-		env.row = groupRows[0]
-	} else {
-		env.row = bindings.Empty()
-	}
-	defer func() { env.groupRows, env.row = savedRows, savedRow }()
+// constructed object over its group (rows grpRows of the match table;
+// construct-only variables are not visible here).
+func (c *evalCtx) applyAssignments(env *env, tbl *bindings.Table, grpRows []int, labels *ppg.Labels, props ppg.Properties, inline []*ast.PropSpec, a *assignSet) error {
+	defer env.setGroup(tbl, grpRows)()
 
 	evalTo := func(key string, e ast.Expr) error {
 		v, err := env.eval(e)
@@ -350,7 +396,7 @@ func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []
 			}
 		case ast.PropBind:
 			// {k = v} with a variable: assign the variable's value.
-			if v, ok := env.row[ps.Var]; ok {
+			if v, ok := env.lookup(ps.Var); ok {
 				props.Set(ps.Key, v)
 			}
 		}
@@ -373,7 +419,6 @@ func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []
 			}
 		}
 	}
-	_ = varName
 	return nil
 }
 
@@ -472,7 +517,7 @@ func ensurePath(g *ppg.Graph, p *ppg.Path) error {
 }
 
 // constructEdge builds the edges of one edge pattern.
-func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, names patternNames, li int, rows []bindings.Binding, rowBind []bindings.Binding, tbl *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
+func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, names patternNames, li int, tbl *bindings.Table, cons constructCols, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
 	if ep.Dir == ast.DirBoth {
 		return errf("constructed edges need a direction: use -[...]-> or <-[...]-")
 	}
@@ -483,63 +528,43 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 	// Group: bound edges by identity; otherwise by the constructed
 	// endpoint pair (which subsumes Γx ∪ Γy ∪ {x,y}) plus explicit
 	// GROUP expressions.
-	keyFn := func(ri int) (string, bool, error) {
-		b := rows[ri]
+	savedTab, savedIdx := env.rowTab, env.rowIdx
+	defer func() { env.rowTab, env.rowIdx = savedTab, savedIdx }()
+	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
 		if bound {
-			v, ok := b[ep.Var]
+			v, ok := tbl.Value(ri, ep.Var)
 			if !ok {
 				return "", false, nil
 			}
 			return v.Key(), true, nil
 		}
-		sv, ok1 := rowBind[ri][leftVar]
-		dv, ok2 := rowBind[ri][rightVar]
+		sv, ok1 := cons.get(leftVar, ri)
+		dv, ok2 := cons.get(rightVar, ri)
 		if !ok1 || !ok2 {
 			return "", false, nil // dangling prevention
 		}
 		key := sv.Key() + ">" + dv.Key()
-		if len(ep.Group) > 0 {
-			saved := env.row
-			env.row = b
-			for _, ge := range ep.Group {
-				v, err := env.eval(ge)
-				if err != nil {
-					env.row = saved
-					return "", false, err
-				}
-				key += "|" + v.Key()
+		env.rowTab, env.rowIdx = tbl, ri
+		for _, ge := range ep.Group {
+			v, err := env.eval(ge)
+			if err != nil {
+				return "", false, err
 			}
-			env.row = saved
+			key += "|" + v.Key()
 		}
 		return key, true, nil
+	})
+	if err != nil {
+		return err
 	}
-	idx := map[string]int{}
-	var groups []objGroup
-	for ri := range rows {
-		k, ok, err := keyFn(ri)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		gi, seen := idx[k]
-		if !seen {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, objGroup{key: k})
-		}
-		groups[gi].rows = append(groups[gi].rows, ri)
-	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 
 	for _, grp := range groups {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
 		rep := grp.rows[0]
-		sv, ok1 := rowBind[rep][leftVar]
-		dv, ok2 := rowBind[rep][rightVar]
+		sv, ok1 := cons.get(leftVar, rep)
+		dv, ok2 := cons.get(rightVar, rep)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -556,7 +581,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		)
 		switch {
 		case bound:
-			ref := rows[rep][ep.Var]
+			ref, _ := tbl.Value(rep, ep.Var)
 			if ref.Kind() != value.KindEdge {
 				return errf("construct variable %q must be an edge, got %s", ep.Var, ref.Kind())
 			}
@@ -574,7 +599,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			}
 			labels, props = srcEdge.Labels.Clone(), srcEdge.Props.Clone()
 		case ep.Copy:
-			ref, ok := rows[rep][ep.Var]
+			ref, ok := tbl.Value(rep, ep.Var)
 			if !ok {
 				continue
 			}
@@ -589,7 +614,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			labels, props = ppg.Labels{}, ppg.Properties{}
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		if err := c.applyAssignments(env, rows, grp.rows, edgeVar, &labels, props, ep.Props, extra[edgeVar]); err != nil {
+		if err := c.applyAssignments(env, tbl, grp.rows, &labels, props, ep.Props, extra[edgeVar]); err != nil {
 			return err
 		}
 		// Endpoint nodes must exist in the item graph: bound-identity
@@ -607,16 +632,14 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			return err
 		}
 		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), varName: edgeVar, rows: grp.rows})
-		for _, ri := range grp.rows {
-			rowBind[ri][edgeVar] = value.EdgeRef(uint64(id))
-		}
+		cons.set(edgeVar, grp.rows, value.EdgeRef(uint64(id)), tbl.Len())
 	}
 	return nil
 }
 
 // constructPath builds stored paths (-/@p:label{...}/->) and graph
 // projections (-/p/->) in CONSTRUCT position.
-func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, names patternNames, li int, rows []bindings.Binding, rowBind []bindings.Binding, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
+func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, names patternNames, li int, tbl *bindings.Table, cons constructCols, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
 	pathVar := names.link[li]
 	if pp.Var == "" {
 		return errf("a path in CONSTRUCT position needs a bound path variable")
@@ -625,8 +648,8 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		return errf("regular expressions are not allowed in CONSTRUCT path patterns")
 	}
 	// Group by path identity.
-	groups, err := groupIndexes(rows, func(b bindings.Binding) (string, bool, error) {
-		v, ok := b[pp.Var]
+	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
+		v, ok := tbl.Value(ri, pp.Var)
 		if !ok {
 			return "", false, nil
 		}
@@ -639,8 +662,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
-		rep := rows[grp.rows[0]]
-		ref := rep[pp.Var]
+		ref, _ := tbl.Value(grp.rows[0], pp.Var)
 		if ref.Kind() != value.KindPath {
 			return errf("construct variable %q must be a path, got %s", pp.Var, ref.Kind())
 		}
@@ -710,7 +732,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			labels, props = pobj.Labels.Clone(), pobj.Props.Clone()
 		}
 		labels = addPatternLabels(labels, pp.Labels)
-		if err := c.applyAssignments(env, rows, grp.rows, pathVar, &labels, props, pp.Props, extra[pathVar]); err != nil {
+		if err := c.applyAssignments(env, tbl, grp.rows, &labels, props, pp.Props, extra[pathVar]); err != nil {
 			return err
 		}
 		stored := &ppg.Path{
@@ -727,9 +749,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			return err
 		}
 		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, varName: pathVar, rows: grp.rows})
-		for _, ri := range grp.rows {
-			rowBind[ri][pathVar] = value.PathRef(pid)
-		}
+		cons.set(pathVar, grp.rows, value.PathRef(pid), tbl.Len())
 	}
 	return nil
 }
@@ -739,25 +759,13 @@ func dropKey(s varSort, id uint64) string {
 }
 
 // whenDrops evaluates a WHEN condition per constructed object of one
-// item, over the object's group extended with all construct bindings,
-// and records failing objects.
-func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, rows []bindings.Binding, rowBind []bindings.Binding, schema []string, dropped map[string]bool) error {
-	savedRows, savedRow, savedSchema := env.groupRows, env.row, env.groupSchema
-	defer func() { env.groupRows, env.row, env.groupSchema = savedRows, savedRow, savedSchema }()
-
+// item, over the object's group in the construct-extended table, and
+// records failing objects.
+func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, extended *bindings.Table, dropped map[string]bool) error {
 	for _, obj := range objects {
-		groupRows := make([]bindings.Binding, len(obj.rows))
-		for i, ri := range obj.rows {
-			groupRows[i] = bindings.Merge(rows[ri], rowBind[ri])
-		}
-		env.groupRows = groupRows
-		env.groupSchema = schema
-		if len(groupRows) > 0 {
-			env.row = groupRows[0]
-		} else {
-			env.row = bindings.Empty()
-		}
+		restore := env.setGroup(extended, obj.rows)
 		v, err := env.eval(when)
+		restore()
 		if err != nil {
 			return err
 		}

@@ -379,3 +379,43 @@ MATCH ()-/@p:toWagner/->() ON example_graph`).Graph
 		t.Errorf("trust = %v", n3.Props.Get("trust"))
 	}
 }
+
+// Construct-only variables (bound by CONSTRUCT, not by MATCH) are
+// invisible to property assignments — phases 1 and 2 evaluate over the
+// match bindings alone, whatever the item order — but visible to WHEN,
+// which sees each binding extended by the construct identities.
+func TestConstructVariableVisibility(t *testing.T) {
+	ev := newToy(t)
+	for _, q := range []string{
+		`CONSTRUCT (y :U {k := 7}), (x :T {v := y.k}) MATCH (n:Person)`,
+		`CONSTRUCT (x :T {v := y.k}), (y :U {k := 7}) MATCH (n:Person)`,
+	} {
+		g := run(t, ev, q).Graph
+		ts := 0
+		for _, id := range g.NodeIDs() {
+			n, _ := g.Node(id)
+			if !n.Labels.Has("T") {
+				continue
+			}
+			ts++
+			if v, ok := n.Props["v"]; ok {
+				t.Errorf("%s: T node #%d got v = %s; assignments must not see construct-only y", q, id, v)
+			}
+		}
+		if ts != 5 {
+			t.Errorf("%s: %d T nodes, want 5 (one per binding)", q, ts)
+		}
+	}
+	g := run(t, ev, `CONSTRUCT (x GROUP n.firstName :T {v := n.firstName}) WHEN x.v = 'John'
+MATCH (n:Person)`).Graph
+	if g.NumNodes() != 1 {
+		t.Fatalf("nodes = %d, want 1: WHEN must see the construct binding of x", g.NumNodes())
+	}
+	for _, id := range g.NodeIDs() {
+		n, _ := g.Node(id)
+		v := n.Props.Get("v")
+		if s, _ := v.Scalarize().AsString(); !n.Labels.Has("T") || s != "John" {
+			t.Errorf("kept node = %v %v, want the T node with v = 'John'", n.Labels, v)
+		}
+	}
+}

@@ -48,8 +48,8 @@ type Ablation struct {
 	// instead of applying the recorded delta to the previous snapshot.
 	FullRebuild bool
 	// MapProps reads properties row at a time from the ppg.Properties
-	// maps in pushdown and residual filters, property lookups and
-	// SELECT projection, instead of from the snapshot's columns.
+	// maps in pushdown and residual filters and in every expression's
+	// property lookups, instead of from the snapshot's columns.
 	MapProps bool
 	// ResidualFilters leaves every WHERE conjunct to the residual
 	// filter instead of applying it as soon as its variables are bound.
@@ -290,24 +290,13 @@ func (ev *Evaluator) newCtx(gv *gov.Governor) *evalCtx {
 // sequential: goroutine + merge overhead only pays off past this.
 const minParallelItems = 64
 
-// mapRows runs a chunked row-production job over n items and returns
-// the per-chunk row slices in input order; appending them in that
-// order reproduces the sequential output exactly. The job runs
-// concurrently only when it is marked safe (its predicates are free
-// of subqueries, which may touch evaluator state) and large enough to
-// amortise the fan-out.
-func (c *evalCtx) mapRows(n int, safe bool, fn func(lo, hi int) ([]bindings.Binding, error)) ([][]bindings.Binding, error) {
-	w := par.Workers(c.ev.workers)
-	if !safe || n < minParallelItems {
-		w = 1
-	}
-	return par.MapChunks(c.gov.Context(), n, w, fn)
-}
-
-// mapSlabs is mapRows for chunk jobs that produce dense row slabs
-// (rows laid out back to back in slot order): the chunk outputs
-// concatenate in input order via Table.AppendSlab without touching a
-// map per row.
+// mapSlabs runs a chunked row-production job over n items and returns
+// the per-chunk dense row slabs (rows laid out back to back in slot
+// order) in input order; appending them in that order via
+// Table.AppendSlab reproduces the sequential output exactly. The job
+// runs concurrently only when it is marked safe (its predicates are
+// free of subqueries, which may touch evaluator state) and large
+// enough to amortise the fan-out.
 func (c *evalCtx) mapSlabs(n int, safe bool, fn func(lo, hi int) ([]value.Value, error)) ([][]value.Value, error) {
 	w := par.Workers(c.ev.workers)
 	if !safe || n < minParallelItems {
@@ -316,7 +305,7 @@ func (c *evalCtx) mapSlabs(n int, safe bool, fn func(lo, hi int) ([]value.Value,
 	return par.MapChunks(c.gov.Context(), n, w, fn)
 }
 
-// mapIdx is mapRows for chunk jobs that select row indices (filters):
+// mapIdx is mapSlabs for chunk jobs that select row indices (filters):
 // the per-chunk index slices concatenate in input order.
 func (c *evalCtx) mapIdx(n int, safe bool, fn func(lo, hi int) ([]int, error)) ([][]int, error) {
 	w := par.Workers(c.ev.workers)
@@ -670,19 +659,29 @@ func (c *evalCtx) resolveGraphName(s *scope, name string) (*ppg.Graph, error) {
 	return g, nil
 }
 
-// fromTable imports a binding table for the FROM clause (§5).
+// fromTable imports a binding table for the FROM clause (§5): column
+// names become variables and NULL cells leave them unbound.
 func (c *evalCtx) fromTable(name string) (*bindings.Table, error) {
-	rows, cols, err := c.ev.cat.BindingTable(name)
+	cols, rows, err := c.ev.cat.BindingTable(name)
 	if err != nil {
 		return nil, errf("%v", err)
 	}
 	tbl := bindings.EmptyTable(cols...)
+	slots := make([]int, len(cols))
+	for i, col := range cols {
+		slots[i] = tbl.SlotOf(col)
+	}
+	dst := make([]value.Value, tbl.Width())
 	for _, r := range rows {
-		b := bindings.Binding{}
-		for k, v := range r {
-			b[k] = v
+		for s := range dst {
+			dst[s] = value.Absent
 		}
-		tbl.Add(b)
+		for i, v := range r {
+			if !v.IsNull() {
+				dst[slots[i]] = v
+			}
+		}
+		tbl.AppendRow(dst)
 	}
 	return tbl, nil
 }

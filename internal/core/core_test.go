@@ -591,6 +591,25 @@ func TestTourL76FromBindingTable(t *testing.T) {
 	}
 }
 
+// FROM turns a NULL cell into an unbound variable, not a bound NULL:
+// COUNT(*) counts only bindings of every variable, so it skips the row.
+func TestFromNullIsUnbound(t *testing.T) {
+	cat := catalog.New()
+	tb := table.New("t", "x", "y")
+	for _, r := range [][]value.Value{{value.Int(1), value.Null}, {value.Int(2), value.Int(5)}} {
+		if err := tb.AddRow(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	res := run(t, core.New(cat, core.Config{}), `SELECT COUNT(*) AS n FROM t`)
+	if res.Table == nil || res.Table.Len() != 1 || !value.Equal(res.Table.Rows[0][0], value.Int(1)) {
+		t.Fatalf("COUNT(*) over FROM t = %v, want 1 (the NULL row leaves y unbound)", res.Table)
+	}
+}
+
 func TestTourL81TableAsGraph(t *testing.T) {
 	ev := newToy(t)
 	g := run(t, ev, parser.PaperQueries["L81"]).Graph

@@ -14,26 +14,25 @@ import (
 
 // env is the evaluation environment of an expression (§A.1): the
 // current binding µ, the graphs whose σ and λ resolve element
-// references, the computed temp paths, and — inside CONSTRUCT — the
-// group rows for aggregation and the under-construction graph for
-// WHEN conditions that inspect just-assigned properties.
+// references, the computed temp paths, the group rows for aggregation
+// (CONSTRUCT and aggregating SELECT), and — inside CONSTRUCT — the
+// under-construction graph for WHEN conditions that inspect
+// just-assigned properties.
 type env struct {
 	c            *evalCtx
 	s            *scope
 	graphs       []*ppg.Graph
 	patternGraph *ppg.Graph
-	row          bindings.Binding
 
-	// Columnar row dispatch: when rowTab is non-nil the current µ is
-	// row rowIdx of rowTab and variable reads go through the slot
-	// table instead of materialising a map per row (the hot filter
-	// paths). Code that installs a map row into row must leave rowTab
-	// nil (or clear it) so lookup sees the right µ.
+	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅.
 	rowTab *bindings.Table
 	rowIdx int
 
-	// Aggregation context (CONSTRUCT property assignments, SET, WHEN).
-	groupRows   []bindings.Binding
+	// Aggregation context (CONSTRUCT property assignments, SET, WHEN,
+	// aggregating SELECT): the group is rows groupIdx of groupTab, and
+	// a nil groupTab means no aggregation is in scope.
+	groupTab    *bindings.Table
+	groupIdx    []int
 	groupSchema []string
 
 	// The graph being constructed, consulted first for property and
@@ -51,20 +50,32 @@ func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph)
 
 // lookup resolves a variable in the current binding µ.
 func (e *env) lookup(name string) (value.Value, bool) {
-	if e.rowTab != nil {
-		return e.rowTab.Value(e.rowIdx, name)
+	if e.rowTab == nil {
+		return value.Null, false
 	}
-	v, ok := e.row[name]
-	return v, ok
+	return e.rowTab.Value(e.rowIdx, name)
+}
+
+// setGroup installs a group context — rows idx of tbl — with the
+// current µ its first row (µ∅ for an empty group), and returns a
+// function restoring the previous row and group.
+func (e *env) setGroup(tbl *bindings.Table, idx []int) (restore func()) {
+	savedTab, savedIdx, savedGTab, savedGIdx := e.rowTab, e.rowIdx, e.groupTab, e.groupIdx
+	e.groupTab, e.groupIdx = tbl, idx
+	e.rowTab, e.rowIdx = nil, 0
+	if len(idx) > 0 {
+		e.rowTab, e.rowIdx = tbl, idx[0]
+	}
+	return func() { e.rowTab, e.rowIdx, e.groupTab, e.groupIdx = savedTab, savedIdx, savedGTab, savedGIdx }
 }
 
 // outerRowTable materialises the current µ as a one-row table — the
 // outer table Ω′ of a correlated subquery.
 func (e *env) outerRowTable() *bindings.Table {
-	if e.rowTab != nil {
-		return e.rowTab.RowTable(e.rowIdx)
+	if e.rowTab == nil {
+		return bindings.Unit()
 	}
-	return bindings.NewTable(e.row.Vars(), e.row)
+	return e.rowTab.RowTable(e.rowIdx)
 }
 
 // allGraphs yields the graphs to consult for element lookups, nearest
@@ -598,7 +609,7 @@ func (e *env) evalFunc(n *ast.FuncCall) (value.Value, error) {
 // paper's nr_messages comes out 0 for people who never exchanged a
 // message (§3, Fig. 5).
 func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, error) {
-	if e.groupRows == nil {
+	if e.groupTab == nil {
 		return value.Null, errf("aggregation %s used outside a grouped CONSTRUCT context", strings.ToUpper(n.Name))
 	}
 	if n.Star {
@@ -606,10 +617,10 @@ func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, e
 			return value.Null, errf("only COUNT accepts *")
 		}
 		count := int64(0)
-		for _, r := range e.groupRows {
+		for _, ri := range e.groupIdx {
 			full := true
 			for _, v := range e.groupSchema {
-				if _, ok := r[v]; !ok {
+				if _, ok := e.groupTab.Value(ri, v); !ok {
 					full = false
 					break
 				}
@@ -623,12 +634,12 @@ func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, e
 	if len(n.Args) != 1 {
 		return value.Null, errf("%s expects exactly one argument", strings.ToUpper(n.Name))
 	}
-	saved, savedTab := e.row, e.rowTab
-	e.rowTab = nil // group rows are map bindings; lookup must read them
-	defer func() { e.row, e.rowTab = saved, savedTab }()
+	savedTab, savedIdx := e.rowTab, e.rowIdx
+	defer func() { e.rowTab, e.rowIdx = savedTab, savedIdx }()
+	e.rowTab = e.groupTab
 	var vals []value.Value
-	for _, r := range e.groupRows {
-		e.row = r
+	for _, ri := range e.groupIdx {
+		e.rowIdx = ri
 		v, err := e.eval(n.Args[0])
 		if err != nil {
 			return value.Null, err

@@ -390,7 +390,6 @@ func (c *evalCtx) propsMatch(g *ppg.Graph, props ppg.Properties, specs []*ast.Pr
 			continue
 		}
 		env := c.newEnv(nil, []*ppg.Graph{g}, g)
-		env.row = bindings.Empty()
 		v, err := env.eval(ps.Expr)
 		if err != nil {
 			return false, err
@@ -403,36 +402,6 @@ func (c *evalCtx) propsMatch(g *ppg.Graph, props ppg.Properties, specs []*ast.Pr
 	return true, nil
 }
 
-// bindProps unrolls binding entries ({employer=e}): one output row
-// per element of the property's value set; an absent property yields
-// no rows (§3: Peter, without employer, simply drops out).
-func bindProps(props ppg.Properties, specs []*ast.PropSpec, base bindings.Binding) []bindings.Binding {
-	rows := []bindings.Binding{base}
-	for _, ps := range specs {
-		if ps.Mode != ast.PropBind {
-			continue
-		}
-		vals := props.Get(ps.Key).Elems()
-		var next []bindings.Binding
-		for _, row := range rows {
-			for _, v := range vals {
-				if prev, bound := row[ps.Var]; bound {
-					if !value.Equal(prev, v) {
-						continue
-					}
-					next = append(next, row)
-					continue
-				}
-				nr := row.Clone()
-				nr[ps.Var] = v
-				next = append(next, nr)
-			}
-		}
-		rows = next
-	}
-	return rows
-}
-
 // propCombo is the columnar form of one PropBind spec: the output
 // slot to bind and the property's value set.
 type propCombo struct {
@@ -440,13 +409,13 @@ type propCombo struct {
 	vals []value.Value
 }
 
-// appendCombos appends one dense row per combination of combo values
-// to dst, expanding depth-first in spec order (later specs vary
-// fastest) — the same emission order as the bindProps breadth
-// expansion. A pre-bound slot survives only when its value is a
-// member of the spec's (deduplicated) value set; an empty value set
-// drops the row (§3: an element without the property drops out).
-// scratch is restored on return.
+// appendCombos unrolls binding entries ({employer=e}): it appends one
+// dense row per combination of combo values to dst, expanding
+// depth-first in spec order (later specs vary fastest). A pre-bound
+// slot survives only when its value is a member of the spec's
+// (deduplicated) value set; an empty value set drops the row (§3:
+// Peter, without employer, simply drops out). scratch is restored on
+// return.
 func appendCombos(dst []value.Value, scratch []value.Value, combos []propCombo) []value.Value {
 	if len(combos) == 0 {
 		return append(dst, scratch...)
@@ -581,6 +550,15 @@ func (x extendPlan) fill(scratch, row []value.Value, edgeID, otherID uint64, ePr
 	scratch[x.rightOut] = value.NodeRef(otherID)
 	combos = x.edgeBind.addCombos(combos[:0], eProps)
 	return x.rightBind.addCombos(combos, nProps)
+}
+
+// nodeAt reads a node ref from slot s of a row; s < 0 (a variable
+// outside the schema) holds none.
+func nodeAt(row []value.Value, s int) (ppg.NodeID, bool) {
+	if s < 0 {
+		return 0, false
+	}
+	return nodeOf(row[s])
 }
 
 func nodeOf(v value.Value) (ppg.NodeID, bool) {

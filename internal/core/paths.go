@@ -92,31 +92,42 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 	}
 	env := c.newEnv(s, []*ppg.Graph{g}, g)
 	if pc.Where != nil {
-		tbl, err = tbl.Filter(func(b bindings.Binding) (bool, error) {
-			env.row = b
+		env.rowTab = tbl
+		var keep []int
+		for ri := 0; ri < tbl.Len(); ri++ {
+			env.rowIdx = ri
 			v, err := env.eval(pc.Where)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			return value.Truth(v)
-		})
-		if err != nil {
-			return nil, err
+			ok, err := value.Truth(v)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				keep = append(keep, ri)
+			}
 		}
+		tbl = tbl.Pick(keep)
 	}
+	env.rowTab = tbl
 	out := map[ppg.NodeID][]rpq.Segment{}
-	for _, row := range tbl.Rows() {
-		from, ok := nodeOf(row[names.node[0]])
+	for ri := 0; ri < tbl.Len(); ri++ {
+		env.rowIdx = ri
+		at := func(name string) value.Value {
+			v, _ := env.lookup(name)
+			return v
+		}
+		from, ok := nodeOf(at(names.node[0]))
 		if !ok {
 			continue
 		}
-		to, ok := nodeOf(row[names.node[len(names.node)-1]])
+		to, ok := nodeOf(at(names.node[len(names.node)-1]))
 		if !ok {
 			continue
 		}
 		cost := 1.0
 		if pc.Cost != nil {
-			env.row = row
 			v, err := env.eval(pc.Cost)
 			if err != nil {
 				return nil, err
@@ -137,7 +148,7 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 		for i := range walk.Links {
 			switch walk.Links[i].(type) {
 			case *ast.EdgePattern:
-				ev, ok := row[names.link[i]]
+				ev, ok := env.lookup(names.link[i])
 				if !ok || ev.Kind() != value.KindEdge {
 					valid = false
 					break
@@ -145,7 +156,7 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 				id, _ := ev.RefID()
 				seg.Edges = append(seg.Edges, ppg.EdgeID(id))
 			case *ast.PathPattern:
-				pv, ok := row[names.link[i]]
+				pv, ok := env.lookup(names.link[i])
 				if !ok || pv.Kind() != value.KindPath {
 					valid = false
 					break
@@ -161,7 +172,7 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 					seg.Nodes = append(seg.Nodes, n)
 				}
 			}
-			nid, ok := nodeOf(row[names.node[i+1]])
+			nid, ok := nodeOf(at(names.node[i+1]))
 			if !ok {
 				valid = false
 				break
@@ -307,8 +318,9 @@ func (c *evalCtx) prefillSearches(eng *rpq.Engine, tbl *bindings.Table, leftVar 
 	shortCache map[searchKey]map[ppg.NodeID][]rpq.PathResult, reachCache map[searchKey][]ppg.NodeID, allCache map[searchKey]*rpq.AllPaths) error {
 	var srcs []ppg.NodeID
 	seen := map[ppg.NodeID]bool{}
-	for _, row := range tbl.Rows() {
-		if s, ok := nodeOf(row[leftVar]); ok && !seen[s] {
+	slot := tbl.SlotOf(leftVar)
+	for ri := 0; ri < tbl.Len(); ri++ {
+		if s, ok := nodeAt(tbl.RowAt(ri), slot); ok && !seen[s] {
 			seen[s] = true
 			srcs = append(srcs, s)
 		}
@@ -415,6 +427,8 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		vars = append(vars, pp.CostVar)
 	}
 	out := bindings.EmptyTable(vars...)
+	em := newPathEmitter(tbl, out, rightVar, rightNp)
+	leftIn, pathOut, costOut := tbl.SlotOf(leftVar), out.SlotOf(pathVar), out.SlotOf(pp.CostVar)
 
 	// Cache searches per source node: many rows share a source.
 	shortCache := map[searchKey]map[ppg.NodeID][]rpq.PathResult{}
@@ -441,14 +455,15 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		}
 	}
 
-	for _, row := range tbl.Rows() {
+	for ri := 0; ri < tbl.Len(); ri++ {
 		if err := c.gov.Checkpoint(faultinject.SiteCorePath); err != nil {
 			return nil, err
 		}
 		if err := c.checkBudget(out); err != nil {
 			return nil, err
 		}
-		src, ok := nodeOf(row[leftVar])
+		row := tbl.RowAt(ri)
+		src, ok := nodeAt(row, leftIn)
 		if !ok {
 			continue
 		}
@@ -478,7 +493,7 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 			}
 			sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 			for _, dst := range ordered {
-				if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, nil); err != nil {
+				if err := c.emitPathRow(g, em, em.load(row), rightNp, dst); err != nil {
 					return nil, err
 				}
 			}
@@ -546,15 +561,16 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 					seenWalks[sig] = true
 					taken++
 					c.tempPaths[pid] = &tempPath{path: path, src: g, cost: cd.pr.Cost}
-					extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
+					sc := em.load(row)
+					sc[pathOut] = value.PathRef(uint64(pid))
 					if pp.CostVar != "" {
 						if hasViews {
-							extra[pp.CostVar] = value.Float(cd.pr.Cost)
+							sc[costOut] = value.Float(cd.pr.Cost)
 						} else {
-							extra[pp.CostVar] = value.Int(int64(cd.pr.Hops))
+							sc[costOut] = value.Int(int64(cd.pr.Hops))
 						}
 					}
-					if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, extra); err != nil {
+					if err := c.emitPathRow(g, em, sc, rightNp, dst); err != nil {
 						return nil, err
 					}
 				}
@@ -585,8 +601,9 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 						src:        g,
 						projection: true,
 					}
-					extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
-					if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, extra); err != nil {
+					sc := em.load(row)
+					sc[pathOut] = value.PathRef(uint64(pid))
+					if err := c.emitPathRow(g, em, sc, rightNp, dst); err != nil {
 						return nil, err
 					}
 				}
@@ -614,10 +631,67 @@ func reversePath(p *ppg.Path) *ppg.Path {
 	return &ppg.Path{ID: p.ID, Nodes: rn, Edges: re}
 }
 
-// emitPathRow finishes one path-pattern match: checks and binds the
-// right endpoint, merges extra bindings, and adds the row.
-func (c *evalCtx) emitPathRow(g *ppg.Graph, out *bindings.Table, row bindings.Binding, rightNp *ast.NodePattern, rightVar string, dst ppg.NodeID, extra bindings.Binding) error {
-	if prev, bound := row[rightVar]; bound {
+// pathEmitter finishes path-pattern matches into an output table. Rows
+// are staged in a scratch row laid out in the output schema, followed
+// by private slots for the right node's bind variables that the path
+// schemas leave out: those still multiply and constrain rows, but are
+// not emitted.
+type pathEmitter struct {
+	out      *bindings.Table
+	w        int // output width
+	width    int // scratch width: w plus the private slots
+	inToOut  []int
+	rightOut int
+	bind     bindPlan
+	scratch  []value.Value
+	combos   []propCombo
+	mid      []value.Value // staged rows (stored-path binding entries)
+	slab     []value.Value
+}
+
+func newPathEmitter(in, out *bindings.Table, rightVar string, rightNp *ast.NodePattern) *pathEmitter {
+	em := &pathEmitter{
+		out:      out,
+		w:        out.Width(),
+		inToOut:  make([]int, in.Width()),
+		rightOut: out.SlotOf(rightVar),
+		bind:     newBindPlan(out, rightNp.Props),
+	}
+	for s, v := range in.Vars() {
+		em.inToOut[s] = out.SlotOf(v)
+	}
+	private := map[string]int{}
+	for i, s := range em.bind.slots {
+		if s >= 0 {
+			continue
+		}
+		v := em.bind.specs[i].Var
+		if _, ok := private[v]; !ok {
+			private[v] = em.w + len(private)
+		}
+		em.bind.slots[i] = private[v]
+	}
+	em.width = em.w + len(private)
+	em.scratch = make([]value.Value, em.width)
+	return em
+}
+
+// load stages an input row in the scratch row and returns it.
+func (em *pathEmitter) load(row []value.Value) []value.Value {
+	for s := range em.scratch {
+		em.scratch[s] = value.Absent
+	}
+	for s, v := range row {
+		em.scratch[em.inToOut[s]] = v
+	}
+	return em.scratch
+}
+
+// emitPathRow finishes one path-pattern match staged in sc: it checks
+// and binds the right endpoint dst, unrolls the right node's binding
+// entries and adds the rows.
+func (c *evalCtx) emitPathRow(g *ppg.Graph, em *pathEmitter, sc []value.Value, rightNp *ast.NodePattern, dst ppg.NodeID) error {
+	if prev := sc[em.rightOut]; !prev.IsAbsent() {
 		if pid, isNode := nodeOf(prev); !isNode || pid != dst {
 			return nil
 		}
@@ -629,13 +703,11 @@ func (c *evalCtx) emitPathRow(g *ppg.Graph, out *bindings.Table, row bindings.Bi
 	if ok, err := c.nodeMatches(g, dn, rightNp); err != nil || !ok {
 		return err
 	}
-	base := row.Clone()
-	base[rightVar] = value.NodeRef(uint64(dst))
-	for k, v := range extra {
-		base[k] = v
-	}
-	for _, r := range bindProps(dn.Props, rightNp.Props, base) {
-		out.Add(r)
+	sc[em.rightOut] = value.NodeRef(uint64(dst))
+	em.combos = em.bind.addCombos(em.combos[:0], dn.Props)
+	em.slab = appendCombos(em.slab[:0], sc, em.combos)
+	for off := 0; off < len(em.slab); off += em.width {
+		em.out.AppendRow(em.slab[off : off+em.w])
 	}
 	return nil
 }
@@ -652,6 +724,11 @@ func (c *evalCtx) extendStoredPath(g *ppg.Graph, tbl *bindings.Table, leftVar st
 		}
 	}
 	out := bindings.EmptyTable(vars...)
+	em := newPathEmitter(tbl, out, rightVar, rightNp)
+	pathBind := newBindPlan(out, pp.Props)
+	leftIn, pathIn := tbl.SlotOf(leftVar), tbl.SlotOf(pathVar)
+	pathOut, costOut := out.SlotOf(pathVar), out.SlotOf(pp.CostVar)
+	var combos []propCombo
 
 	var nfa *rpq.NFA
 	if pp.Regex != nil {
@@ -661,14 +738,15 @@ func (c *evalCtx) extendStoredPath(g *ppg.Graph, tbl *bindings.Table, leftVar st
 		}
 		nfa = n
 	}
-	for _, row := range tbl.Rows() {
+	for ri := 0; ri < tbl.Len(); ri++ {
 		if err := c.gov.Checkpoint(faultinject.SiteCorePath); err != nil {
 			return nil, err
 		}
 		if err := c.checkBudget(out); err != nil {
 			return nil, err
 		}
-		src, ok := nodeOf(row[leftVar])
+		row := tbl.RowAt(ri)
+		src, ok := nodeAt(row, leftIn)
 		if !ok {
 			continue
 		}
@@ -682,8 +760,10 @@ func (c *evalCtx) extendStoredPath(g *ppg.Graph, tbl *bindings.Table, leftVar st
 			} else if !ok {
 				continue
 			}
-			if prev, bound := row[pathVar]; bound && !value.Equal(prev, value.PathRef(uint64(pid))) {
-				continue
+			if pathIn >= 0 {
+				if prev := row[pathIn]; !prev.IsAbsent() && !value.Equal(prev, value.PathRef(uint64(pid))) {
+					continue
+				}
 			}
 			if len(p.Nodes) == 0 {
 				continue
@@ -713,17 +793,17 @@ func (c *evalCtx) extendStoredPath(g *ppg.Graph, tbl *bindings.Table, leftVar st
 				if nfa != nil && !storedPathConforms(g, p, nfa, o.rev) {
 					continue
 				}
-				extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
-				if pp.CostVar != "" {
-					extra[pp.CostVar] = value.Int(int64(p.Length()))
-				}
-				base := row.Clone()
-				for _, r := range bindProps(p.Props, pp.Props, base) {
-					merged := r.Clone()
-					for k, v := range extra {
-						merged[k] = v
+				// Unroll the path's binding entries, then bind the path
+				// (and its cost) over them.
+				combos = pathBind.addCombos(combos[:0], p.Props)
+				em.mid = appendCombos(em.mid[:0], em.load(row), combos)
+				for off := 0; off < len(em.mid); off += em.width {
+					sc := em.mid[off : off+em.width]
+					sc[pathOut] = value.PathRef(uint64(pid))
+					if pp.CostVar != "" {
+						sc[costOut] = value.Int(int64(p.Length()))
 					}
-					if err := c.emitPathRow(g, out, merged, rightNp, rightVar, o.end, nil); err != nil {
+					if err := c.emitPathRow(g, em, sc, rightNp, o.end); err != nil {
 						return nil, err
 					}
 				}

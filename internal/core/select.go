@@ -75,80 +75,63 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		return projRow{vals, keys}, nil
 	}
 
+	// Rows dispatch through the slot table (and property reads through
+	// the snapshot columns); each output row is one binding or, when
+	// aggregating, one group of bindings.
 	sorted := tbl.Sorted()
+	env.rowTab = sorted
 	var rows []projRow
-	if !hasAgg && !c.ev.abl.MapProps {
-		// No aggregates: one output row per binding. Rows dispatch
-		// through the slot table (and property reads through the
-		// snapshot columns) instead of materialising a map per row.
-		env.rowTab = sorted
+	if !hasAgg {
 		for ri := 0; ri < sorted.Len(); ri++ {
 			env.rowIdx = ri
 			r, err := evalRow()
 			if err != nil {
-				env.rowTab = nil
 				return nil, err
 			}
 			rows = append(rows, r)
 		}
-		env.rowTab = nil
 		return finishSelect(out, sc, rows)
 	}
 
-	// groups: one entry per output row — a representative binding and
-	// (when aggregating) the rows of its group.
-	type outGroup struct {
-		rep  bindings.Binding
-		rows []bindings.Binding
-	}
-	var groups []outGroup
-	sortedRows := sorted.Rows()
-	if !hasAgg {
-		for _, b := range sortedRows {
-			groups = append(groups, outGroup{rep: b})
-		}
-	} else {
-		// Group rows by the evaluated values of the non-aggregate
-		// items (the implicit GROUP BY of SQL-style aggregation).
-		idx := map[string]int{}
-		for _, b := range sortedRows {
-			env.row = b
-			key := ""
-			for i, it := range sc.Items {
-				if aggItem[i] {
-					continue
-				}
-				v, err := env.eval(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				key += v.Key() + "|"
+	// Group rows by the evaluated values of the non-aggregate items
+	// (the implicit GROUP BY of SQL-style aggregation).
+	var groups [][]int
+	idx := map[string]int{}
+	for ri := 0; ri < sorted.Len(); ri++ {
+		env.rowIdx = ri
+		key := ""
+		for i, it := range sc.Items {
+			if aggItem[i] {
+				continue
 			}
-			gi, ok := idx[key]
-			if !ok {
-				gi = len(groups)
-				idx[key] = gi
-				groups = append(groups, outGroup{rep: b})
+			v, err := env.eval(it.Expr)
+			if err != nil {
+				return nil, err
 			}
-			groups[gi].rows = append(groups[gi].rows, b)
+			key += v.Key() + "|"
 		}
-		if len(sortedRows) == 0 && allAggregates(aggItem) {
-			// SELECT COUNT(*) over an empty match still yields one row
-			// (the aggregate of the empty group).
-			groups = append(groups, outGroup{rep: bindings.Empty(), rows: []bindings.Binding{}})
+		gi, ok := idx[key]
+		if !ok {
+			gi = len(groups)
+			idx[key] = gi
+			groups = append(groups, nil)
 		}
+		groups[gi] = append(groups[gi], ri)
 	}
-
+	if sorted.Len() == 0 && allAggregates(aggItem) {
+		// SELECT COUNT(*) over an empty match still yields one row
+		// (the aggregate of the empty group).
+		groups = append(groups, []int{})
+	}
 	for _, g := range groups {
-		env.row = g.rep
-		env.groupRows = g.rows
+		restore := env.setGroup(sorted, g)
 		r, err := evalRow()
+		restore()
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, r)
 	}
-	env.groupRows = nil
 	return finishSelect(out, sc, rows)
 }
 
